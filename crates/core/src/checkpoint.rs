@@ -27,7 +27,8 @@
 //!
 //! Artifacts are keyed by a fingerprint of exactly the configuration
 //! that determines their content: characterizations by (format version,
-//! scale, interval length, per-run cap, watchdog budget); clusterings by
+//! MICA feature revision, scale, interval length, per-run cap, watchdog
+//! budget); clusterings by
 //! (format version, k, iteration cap, seed, and the bits of the matrix
 //! being clustered). The fingerprint is part of the directory name, so
 //! studies with different configurations coexist in one store — an
@@ -48,7 +49,7 @@ use std::io::{self};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use phaselab_mica::{FeatureVector, NUM_FEATURES};
+use phaselab_mica::{FeatureVector, FEATURE_REVISION, NUM_FEATURES};
 use phaselab_stats::{Clustering, KmeansConfig, Matrix};
 use phaselab_vm::{VerifyError, VmError};
 use phaselab_workloads::{Scale, Suite};
@@ -229,7 +230,8 @@ fn analysis_code(mode: AnalysisMode) -> u64 {
 }
 
 /// Fingerprint of everything that determines a benchmark's
-/// characterization — format version, workload scale, interval length,
+/// characterization — format version, the MICA
+/// [`FEATURE_REVISION`], workload scale, interval length,
 /// per-run instruction cap, and the watchdog budget — plus the run
 /// *protocol*: the analysis mode and the shard topology.
 ///
@@ -249,6 +251,7 @@ fn analysis_code(mode: AnalysisMode) -> u64 {
 pub fn characterization_fingerprint(cfg: &StudyConfig) -> u64 {
     let mut h = Fnv::new();
     h.u64(VERSION as u64)
+        .u64(u64::from(FEATURE_REVISION))
         .u64(scale_code(cfg.scale))
         .u64(cfg.interval_len)
         .u64(cfg.max_instructions_per_run);
@@ -752,7 +755,10 @@ fn unframe(bytes: &[u8], kind: u8, fingerprint: u64) -> Result<&[u8], Checkpoint
             found: found_fp,
         });
     }
-    let len = dec.len(1)?;
+    // A payload length beyond the bytes present means the frame was cut
+    // short (possibly a short read), not that it is malformed: `take`
+    // reports it as `Truncated`, which the read path retries.
+    let len = usize::try_from(dec.u64()?).map_err(|_| CheckpointError::Truncated)?;
     let payload = dec.take(len)?;
     let crc = dec.u32()?;
     dec.finish()?;
@@ -1156,6 +1162,38 @@ mod tests {
         };
         assert_eq!(l, q);
         let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn a_frame_cut_at_any_offset_is_truncated() {
+        let payload = encode_bench_outcome(&BenchOutcome::Characterized(sample_characterization()))
+            .expect("encodes");
+        let bytes = frame(KIND_BENCH, 7, &payload);
+        assert_eq!(
+            unframe(&bytes, KIND_BENCH, 7).expect("intact"),
+            &payload[..]
+        );
+        for cut in 0..bytes.len() {
+            match unframe(&bytes[..cut], KIND_BENCH, 7) {
+                Err(CheckpointError::Truncated) => {}
+                other => panic!("cut at {cut} of {}: {other:?}", bytes.len()),
+            }
+        }
+    }
+
+    #[test]
+    fn an_impossible_length_inside_a_checked_payload_is_malformed() {
+        // The frame is whole and its CRC holds; the payload itself claims
+        // more per-input vectors than it has bytes for.
+        let mut enc = Enc::new();
+        enc.u8(0); // the `Characterized` tag
+        enc.u64(1 << 40);
+        let bytes = frame(KIND_BENCH, 7, &enc.buf);
+        let payload = unframe(&bytes, KIND_BENCH, 7).expect("frame is intact");
+        match decode_bench_outcome(payload) {
+            Err(CheckpointError::Malformed("impossible length prefix")) => {}
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

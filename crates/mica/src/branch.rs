@@ -10,11 +10,20 @@ use crate::Analyzer;
 /// Deepest context length tracked by the PPM predictors.
 const MAX_HIST: u32 = 12;
 
+/// Mask of a branch history register.
+const HIST_MASK: u64 = (1 << MAX_HIST) - 1;
+
+/// Contexts per branch and table: lengths `0..=MAX_HIST`.
+const CONTEXTS: usize = MAX_HIST as usize + 1;
+
 /// The three maximum history lengths of the characterization.
-const DEPTHS: [u32; 3] = [4, 8, 12];
+const DEPTHS: [usize; 3] = [4, 8, 12];
 
 /// log2 of the number of entries in each direct-mapped PPM table.
 const TABLE_BITS: u32 = 16;
+
+/// Multiplier spreading a branch PC over the key space.
+const PC_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// One direct-mapped, tagged, generation-stamped PPM context table.
 ///
@@ -25,7 +34,7 @@ const TABLE_BITS: u32 = 16;
 /// interval-sized working sets, so measured misprediction rates track the
 /// exact predictor closely.
 #[derive(Debug, Clone)]
-struct PpmTable {
+pub(crate) struct PpmTable {
     entries: Vec<Entry>,
     gen: u32,
 }
@@ -39,7 +48,7 @@ struct Entry {
 }
 
 impl PpmTable {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PpmTable {
             entries: vec![Entry::default(); 1 << TABLE_BITS],
             gen: 1,
@@ -47,19 +56,19 @@ impl PpmTable {
     }
 
     #[inline]
-    fn slot(key: u64) -> usize {
+    pub(crate) fn slot(key: u64) -> usize {
         (key & ((1 << TABLE_BITS) - 1)) as usize
     }
 
     /// Returns `(taken, not_taken)` counts if the context has been seen.
     #[inline]
-    fn lookup(&self, key: u64) -> Option<(u16, u16)> {
+    pub(crate) fn lookup(&self, key: u64) -> Option<(u16, u16)> {
         let e = &self.entries[Self::slot(key)];
         (e.gen == self.gen && e.tag == key).then_some((e.taken, e.not_taken))
     }
 
     #[inline]
-    fn update(&mut self, key: u64, taken: bool) {
+    pub(crate) fn update(&mut self, key: u64, taken: bool) {
         let gen = self.gen;
         let e = &mut self.entries[Self::slot(key)];
         if e.gen != gen || e.tag != key {
@@ -70,14 +79,21 @@ impl PpmTable {
                 not_taken: 0,
             };
         }
-        if taken {
-            e.taken = e.taken.saturating_add(1);
+        let count = if taken {
+            &mut e.taken
         } else {
-            e.not_taken = e.not_taken.saturating_add(1);
+            &mut e.not_taken
+        };
+        *count += 1;
+        // Halve both counts when one saturates: the ratio, and so the
+        // majority direction, survives arbitrarily long intervals.
+        if *count == u16::MAX {
+            e.taken >>= 1;
+            e.not_taken >>= 1;
         }
     }
 
-    fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Generation wrapped: physically clear to avoid stale matches.
@@ -88,63 +104,92 @@ impl PpmTable {
 }
 
 /// Key for a PPM context: length, history bits, and (for per-address
-/// tables) the branch PC.
+/// tables) the branch PC; `pc = 0` for the address-free tables.
 #[inline]
-fn context_key(len: u32, hist: u64, pc: u64) -> u64 {
+pub(crate) const fn context_key(len: u32, hist: u64, pc: u64) -> u64 {
     let masked = if len == 0 { 0 } else { hist & ((1 << len) - 1) };
-    mix64(masked ^ ((len as u64) << 56) ^ pc.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+    mix64(masked ^ ((len as u64) << 56) ^ pc.wrapping_mul(PC_MUL))
+}
+
+/// Keys of every address-free context, indexed by
+/// `(1 << len) | masked history`: 8191 values, fixed at compile time.
+static GLOBAL_KEYS: [u64; 2 << MAX_HIST] = {
+    let mut keys = [0; 2 << MAX_HIST];
+    let mut i = 1;
+    while i < keys.len() {
+        let len = i.ilog2();
+        keys[i] = context_key(len, (i ^ 1 << len) as u64, 0);
+        i += 1;
+    }
+    keys
+};
+
+/// The context keys of an address-free table for history `hist`.
+#[inline]
+fn global_keys(hist: u64) -> [u64; CONTEXTS] {
+    std::array::from_fn(|len| GLOBAL_KEYS[(1 << len) | (hist as usize & ((1 << len) - 1))])
+}
+
+/// The context keys of a per-address table for `pc` and `hist`.
+#[inline]
+fn address_keys(pc: u64, hist: u64) -> [u64; CONTEXTS] {
+    // Inlined, the 13 calls share one `pc * PC_MUL`.
+    std::array::from_fn(|len| context_key(len as u32, hist, pc))
 }
 
 /// One of the four predictor organizations: {global, local} history ×
-/// {global, per-address} table.
+/// {global, per-address} table. The organization is fixed by which keys
+/// the analyzer feeds it.
 #[derive(Debug, Clone)]
 struct PpmPredictor {
-    local_history: bool,
-    per_address: bool,
     table: PpmTable,
     /// Misses per depth (4, 8, 12).
     misses: [u64; 3],
 }
 
 impl PpmPredictor {
-    fn new(local_history: bool, per_address: bool) -> Self {
+    fn new() -> Self {
         PpmPredictor {
-            local_history,
-            per_address,
             table: PpmTable::new(),
             misses: [0; 3],
         }
     }
 
+    /// `keys[len]` is the key of the branch's context of length `len`.
     #[inline]
-    fn observe(&mut self, pc: u64, hist: u64, taken: bool) {
-        let pc_key = if self.per_address { pc } else { 0 };
+    fn observe(&mut self, keys: &[u64; CONTEXTS], taken: bool) {
         // Walk contexts from longest to shortest; the first match at
-        // length <= depth is the PPM prediction for that depth.
-        let mut predictions: [Option<bool>; 3] = [None; 3];
-        for len in (0..=MAX_HIST).rev() {
-            if let Some((t, n)) = self.table.lookup(context_key(len, hist, pc_key)) {
-                let predict_taken = t >= n;
-                for (i, &depth) in DEPTHS.iter().enumerate() {
-                    if len <= depth && predictions[i].is_none() {
-                        predictions[i] = Some(predict_taken);
-                    }
+        // length <= depth is the PPM prediction for that depth. An unseen
+        // branch (no context at any length) predicts not-taken. Depths
+        // still unpredicted are always `DEPTHS[..open]`, so after a match
+        // the walk resumes at the deepest of them: the lengths it skips
+        // could only re-predict a decided depth.
+        let mut predicted = [false; 3];
+        let mut open = DEPTHS.len();
+        let mut len = MAX_HIST as usize;
+        loop {
+            if let Some((t, n)) = self.table.lookup(keys[len]) {
+                while open > 0 && DEPTHS[open - 1] >= len {
+                    open -= 1;
+                    predicted[open] = t >= n;
                 }
-                if predictions.iter().all(std::option::Option::is_some) {
+                if open == 0 {
                     break;
                 }
+                len = DEPTHS[open - 1];
+            } else if len == 0 {
+                break;
+            } else {
+                len -= 1;
             }
         }
-        for (miss, pred) in self.misses.iter_mut().zip(predictions) {
-            // An unseen branch (no context at any length) predicts
-            // not-taken.
-            let predicted = pred.unwrap_or(false);
-            if predicted != taken {
-                *miss += 1;
-            }
+        for (miss, pred) in self.misses.iter_mut().zip(predicted) {
+            *miss += u64::from(pred != taken);
         }
-        for len in 0..=MAX_HIST {
-            self.table.update(context_key(len, hist, pc_key), taken);
+        // Every lookup precedes every update: two contexts of one branch
+        // may share a slot.
+        for &key in keys {
+            self.table.update(key, taken);
         }
     }
 
@@ -153,6 +198,10 @@ impl PpmPredictor {
         self.misses = [0; 3];
     }
 }
+
+/// Marks a local-history entry whose branch has been seen this interval
+/// (above the 12 history bits).
+const SEEN: u64 = 1 << MAX_HIST;
 
 /// Computes the 14 branch-predictability characteristics of Table 1:
 /// average transition rate, average taken rate, and misprediction rates of
@@ -167,8 +216,9 @@ pub struct BranchAnalyzer {
     taken: u64,
     transitions: u64,
     with_history: u64,
-    last_outcome: FxHashMap<u64, bool>,
     global_hist: u64,
+    /// Per-branch `SEEN | history`; the low history bit is the branch's
+    /// last outcome.
     local_hist: FxHashMap<u64, u64>,
     /// Order: GAg, GAp, PAg, PAp (history kind, then table kind).
     predictors: [PpmPredictor; 4],
@@ -182,15 +232,9 @@ impl BranchAnalyzer {
             taken: 0,
             transitions: 0,
             with_history: 0,
-            last_outcome: FxHashMap::default(),
             global_hist: 0,
             local_hist: FxHashMap::default(),
-            predictors: [
-                PpmPredictor::new(false, false), // GAg: global history, global table
-                PpmPredictor::new(false, true),  // GAp: global history, per-address table
-                PpmPredictor::new(true, false),  // PAg: local history, global table
-                PpmPredictor::new(true, true),   // PAp: local history, per-address table
-            ],
+            predictors: std::array::from_fn(|_| PpmPredictor::new()),
         }
     }
 }
@@ -213,30 +257,26 @@ impl BranchAnalyzer {
             return;
         }
         let taken = branch.taken;
+        let bit = u64::from(taken);
         self.branches += 1;
-        self.taken += taken as u64;
+        self.taken += bit;
 
-        if let Some(prev) = self.last_outcome.insert(pc, taken) {
+        let entry = self.local_hist.entry(pc).or_insert(0);
+        let before = *entry;
+        if before & SEEN != 0 {
             self.with_history += 1;
-            if prev != taken {
-                self.transitions += 1;
-            }
+            self.transitions += (before & 1) ^ bit;
         }
+        *entry = SEEN | (((before << 1) | bit) & HIST_MASK);
+        let local = before & HIST_MASK;
+        let global = self.global_hist;
+        self.global_hist = ((global << 1) | bit) & HIST_MASK;
 
-        let local = self.local_hist.entry(pc).or_insert(0);
-        let local_before = *local;
-        *local = ((*local << 1) | taken as u64) & ((1 << MAX_HIST) - 1);
-        let global_before = self.global_hist;
-        self.global_hist = ((self.global_hist << 1) | taken as u64) & ((1 << MAX_HIST) - 1);
-
-        for p in &mut self.predictors {
-            let hist = if p.local_history {
-                local_before
-            } else {
-                global_before
-            };
-            p.observe(pc, hist, taken);
-        }
+        let [gag, gap, pag, pap] = &mut self.predictors;
+        gag.observe(&global_keys(global), taken);
+        gap.observe(&address_keys(pc, global), taken);
+        pag.observe(&global_keys(local), taken);
+        pap.observe(&address_keys(pc, local), taken);
     }
 }
 
@@ -263,7 +303,6 @@ impl Analyzer for BranchAnalyzer {
         self.taken = 0;
         self.transitions = 0;
         self.with_history = 0;
-        self.last_outcome.clear();
         self.global_hist = 0;
         self.local_hist.clear();
         for p in &mut self.predictors {
@@ -426,5 +465,39 @@ mod tests {
         assert_eq!(t.lookup(42), None);
         t.update(42, false);
         assert_eq!(t.lookup(42), Some((0, 1)));
+    }
+
+    #[test]
+    fn saturated_counters_keep_the_majority_direction() {
+        // One context observed 30% taken: without rescaling, not-taken
+        // pins at 65535 while taken keeps climbing, and the prediction
+        // (taken >= not-taken) eventually flips to the minority.
+        let mut t = PpmTable::new();
+        let check = |t: &PpmTable, n: u32| {
+            let (taken, not_taken) = t.lookup(7).expect("context present");
+            let frac = f64::from(taken) / (f64::from(taken) + f64::from(not_taken));
+            assert!(taken < not_taken, "after {n}: {taken} taken vs {not_taken}");
+            assert!(
+                (frac - 0.3).abs() < 0.01,
+                "after {n}: taken fraction {frac}"
+            );
+        };
+        for i in 0..400_000u32 {
+            t.update(7, i % 10 < 3);
+            if i + 1 == 200_000 {
+                check(&t, i + 1);
+            }
+        }
+        check(&t, 400_000);
+    }
+
+    #[test]
+    fn key_table_matches_the_key_function() {
+        for hist in [0, 1, 0x555, 0xfff] {
+            let keys = global_keys(hist);
+            for len in 0..=MAX_HIST {
+                assert_eq!(keys[len as usize], context_key(len, hist, 0));
+            }
+        }
     }
 }

@@ -6,6 +6,18 @@ use crate::features::{FeatureVector, FOOTPRINT_BASE};
 use crate::fxhash::FxHashSet;
 use crate::Analyzer;
 
+/// 64-byte blocks per 4 KB page, as a shift.
+const BLOCKS_PER_PAGE_LOG2: u32 = 6;
+
+/// Inserts a 64-byte block, and its page only when the block is new: a
+/// block already present implies its page is too.
+#[inline]
+fn insert(blocks: &mut FxHashSet<u64>, pages: &mut FxHashSet<u64>, block: u64) {
+    if blocks.insert(block) {
+        pages.insert(block >> BLOCKS_PER_PAGE_LOG2);
+    }
+}
+
 /// Counts the unique 64-byte blocks and 4 KB pages touched by the
 /// instruction stream and by the data stream within an interval (Table 1,
 /// "memory footprint").
@@ -44,7 +56,7 @@ impl FootprintAnalyzer {
     /// block-path equivalent of the per-record `rec.pc` inserts. A
     /// straight-line block covers a contiguous pc range, so the same set
     /// of 64-byte blocks and 4 KB pages is inserted with at most
-    /// `n/16 + 1` set operations instead of `n`.
+    /// `n/16 + 1` block inserts instead of `n`.
     #[inline]
     pub fn observe_instr_span(&mut self, base_pc: u64, n: u64) {
         if n == 0 {
@@ -52,10 +64,7 @@ impl FootprintAnalyzer {
         }
         let last_pc = base_pc + 4 * (n - 1);
         for block in (base_pc >> 6)..=(last_pc >> 6) {
-            self.instr_blocks.insert(block);
-        }
-        for page in (base_pc >> 12)..=(last_pc >> 12) {
-            self.instr_pages.insert(page);
+            insert(&mut self.instr_blocks, &mut self.instr_pages, block);
         }
     }
 
@@ -63,13 +72,11 @@ impl FootprintAnalyzer {
     /// `rec.mem` half of [`Analyzer::observe`].
     #[inline]
     pub fn observe_data(&mut self, addr: u64, size: u8) {
-        self.data_blocks.insert(addr >> 6);
-        self.data_pages.insert(addr >> 12);
+        insert(&mut self.data_blocks, &mut self.data_pages, addr >> 6);
         // A wide access may straddle a block boundary.
         let last = addr + size as u64 - 1;
         if last >> 6 != addr >> 6 {
-            self.data_blocks.insert(last >> 6);
-            self.data_pages.insert(last >> 12);
+            insert(&mut self.data_blocks, &mut self.data_pages, last >> 6);
         }
     }
 }
@@ -77,8 +84,7 @@ impl FootprintAnalyzer {
 impl Analyzer for FootprintAnalyzer {
     #[inline]
     fn observe(&mut self, rec: &InstRecord, _index: u64) {
-        self.instr_blocks.insert(rec.pc >> 6);
-        self.instr_pages.insert(rec.pc >> 12);
+        insert(&mut self.instr_blocks, &mut self.instr_pages, rec.pc >> 6);
         if let Some(mem) = rec.mem {
             self.observe_data(mem.addr, mem.size);
         }

@@ -78,7 +78,7 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 /// Mixes a 64-bit value into a well-distributed 64-bit hash
 /// (SplitMix64 finalizer). Used for direct-mapped predictor tables.
 #[inline]
-pub fn mix64(mut x: u64) -> u64 {
+pub const fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)

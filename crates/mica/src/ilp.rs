@@ -40,70 +40,30 @@ pub const ILP_WINDOWS: [usize; 4] = [32, 64, 128, 256];
 /// ```
 #[derive(Debug, Clone)]
 pub struct IlpAnalyzer {
-    windows: [WindowState; 4],
+    /// Per-window completion cycles of the last [`RING`] instructions,
+    /// at their interval position mod [`RING`]. Window `W` reads the
+    /// entry of the instruction `W` positions back; an entry not yet
+    /// written this interval holds 0, which never delays an issue.
+    ring: Box<[[u64; 4]; RING]>,
+    /// Per-window completion cycle of each architectural register's
+    /// latest producer.
+    reg_ready: [[u64; 4]; NUM_ARCH_REGS],
+    /// Per-window maximum completion cycle.
+    horizon: [u64; 4],
     count: u64,
 }
 
-#[derive(Debug, Clone)]
-struct WindowState {
-    size: usize,
-    /// Completion cycle of each architectural register's latest producer.
-    reg_ready: [u64; NUM_ARCH_REGS],
-    /// Ring buffer of completion cycles of the last `size` instructions.
-    ring: Vec<u64>,
-    /// Maximum completion cycle seen.
-    horizon: u64,
-}
-
-impl WindowState {
-    fn new(size: usize) -> Self {
-        WindowState {
-            size,
-            reg_ready: [0; NUM_ARCH_REGS],
-            ring: vec![0; size],
-            horizon: 0,
-        }
-    }
-
-    #[inline]
-    fn observe(&mut self, reads: RegReads, write: Option<ArchReg>, index: u64) {
-        let slot = (index as usize) % self.size;
-        // Window constraint: the instruction `size` earlier must have
-        // completed before this one can occupy its slot.
-        let mut start = self.ring[slot];
-        for r in reads.iter() {
-            let ready = self.reg_ready[r.index()];
-            if ready > start {
-                start = ready;
-            }
-        }
-        let completion = start + 1;
-        self.ring[slot] = completion;
-        if let Some(w) = write {
-            self.reg_ready[w.index()] = completion;
-        }
-        if completion > self.horizon {
-            self.horizon = completion;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.reg_ready = [0; NUM_ARCH_REGS];
-        self.ring.iter_mut().for_each(|c| *c = 0);
-        self.horizon = 0;
-    }
-}
+/// Ring length: the largest window.
+const RING: usize = ILP_WINDOWS[3];
+const _: () = assert!(RING.is_power_of_two());
 
 impl IlpAnalyzer {
     /// Creates an analyzer for the four standard window sizes.
     pub fn new() -> Self {
         IlpAnalyzer {
-            windows: [
-                WindowState::new(ILP_WINDOWS[0]),
-                WindowState::new(ILP_WINDOWS[1]),
-                WindowState::new(ILP_WINDOWS[2]),
-                WindowState::new(ILP_WINDOWS[3]),
-            ],
+            ring: Box::new([[0; 4]; RING]),
+            reg_ready: [[0; 4]; NUM_ARCH_REGS],
+            horizon: [0; 4],
             count: 0,
         }
     }
@@ -115,8 +75,24 @@ impl IlpAnalyzer {
     /// register dependences, so this is the complete input.
     #[inline]
     pub fn observe_ops(&mut self, reads: RegReads, write: Option<ArchReg>, index: u64) {
-        for w in &mut self.windows {
-            w.observe(reads, write, index);
+        let i = index as usize;
+        // Window constraint: the instruction `W` earlier must have
+        // completed before this one can enter a `W`-entry window.
+        let mut start: [u64; 4] =
+            std::array::from_fn(|w| self.ring[i.wrapping_sub(ILP_WINDOWS[w]) % RING][w]);
+        for r in reads.iter() {
+            let ready = &self.reg_ready[r.index()];
+            for w in 0..4 {
+                start[w] = start[w].max(ready[w]);
+            }
+        }
+        let completion = start.map(|s| s + 1);
+        self.ring[i % RING] = completion;
+        if let Some(w) = write {
+            self.reg_ready[w.index()] = completion;
+        }
+        for w in 0..4 {
+            self.horizon[w] = self.horizon[w].max(completion[w]);
         }
         self.count += 1;
     }
@@ -135,19 +111,19 @@ impl Analyzer for IlpAnalyzer {
     }
 
     fn emit(&self, out: &mut FeatureVector) {
-        for (i, w) in self.windows.iter().enumerate() {
-            out[ILP_BASE + i] = if w.horizon == 0 {
+        for (i, &h) in self.horizon.iter().enumerate() {
+            out[ILP_BASE + i] = if h == 0 {
                 0.0
             } else {
-                self.count as f64 / w.horizon as f64
+                self.count as f64 / h as f64
             };
         }
     }
 
     fn reset(&mut self) {
-        for w in &mut self.windows {
-            w.reset();
-        }
+        *self.ring = [[0; 4]; RING];
+        self.reg_ready = [[0; 4]; NUM_ARCH_REGS];
+        self.horizon = [0; 4];
         self.count = 0;
     }
 }

@@ -41,6 +41,8 @@
 mod aggregate;
 mod branch;
 mod characterizer;
+#[cfg(test)]
+mod equivalence;
 mod features;
 mod footprint;
 mod fxhash;
@@ -61,6 +63,15 @@ pub use regtraffic::RegTrafficAnalyzer;
 pub use strides::StrideAnalyzer;
 
 use phaselab_trace::InstRecord;
+
+/// Revision of the feature definitions. Bump it whenever an analyzer
+/// change alters the features of any instruction stream, so stored
+/// characterizations from an older revision are recomputed, not reused.
+///
+/// Revision 2: PPM counters halve on saturation instead of pinning at
+/// 65535, which changes any interval (or whole-run aggregate) in which
+/// one context is observed 65535 times in one direction.
+pub const FEATURE_REVISION: u32 = 2;
 
 /// A per-interval analyzer computing a fixed slice of the feature vector.
 ///

@@ -5,9 +5,10 @@ use phaselab_trace::{ArchReg, InstRecord, RegReads, NUM_ARCH_REGS};
 use crate::features::{FeatureVector, REG_BASE};
 use crate::Analyzer;
 
-/// Cumulative register dependency-distance bucket bounds (in dynamic
-/// instructions between producer and consumer).
-const DIST_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
+/// Number of cumulative register dependency-distance buckets: distances
+/// (in dynamic instructions between producer and consumer) of at most
+/// 1, 2, 4, … 64.
+const DIST_BUCKETS: usize = 7;
 
 /// Computes the register-traffic characteristics (Table 1, "register
 /// traffic"):
@@ -29,10 +30,10 @@ pub struct RegTrafficAnalyzer {
     /// Index (within the interval) of the last write to each register;
     /// `u64::MAX` when the register has no producer this interval.
     last_write: [u64; NUM_ARCH_REGS],
-    /// Cumulative distance bucket counts.
-    dist_counts: [u64; DIST_BUCKETS.len()],
-    /// Reads with a known producer.
-    dist_total: u64,
+    /// Reads with a known producer by distance class: slot `k` counts
+    /// distances in `(2^(k-1), 2^k]` (slot 0 also distance 0), the last
+    /// slot those beyond 64. `emit` accumulates the cumulative buckets.
+    dist_hist: [u64; DIST_BUCKETS + 1],
 }
 
 impl RegTrafficAnalyzer {
@@ -43,8 +44,7 @@ impl RegTrafficAnalyzer {
             total_reads: 0,
             total_writes: 0,
             last_write: [u64::MAX; NUM_ARCH_REGS],
-            dist_counts: [0; DIST_BUCKETS.len()],
-            dist_total: 0,
+            dist_hist: [0; DIST_BUCKETS + 1],
         }
     }
 
@@ -60,12 +60,9 @@ impl RegTrafficAnalyzer {
             let producer = self.last_write[r.index()];
             if producer != u64::MAX {
                 let dist = index - producer;
-                self.dist_total += 1;
-                for (slot, &bound) in self.dist_counts.iter_mut().zip(&DIST_BUCKETS) {
-                    if dist <= bound {
-                        *slot += 1;
-                    }
-                }
+                // The smallest k with dist <= 2^k.
+                let k = (u64::BITS - dist.saturating_sub(1).leading_zeros()) as usize;
+                self.dist_hist[k.min(DIST_BUCKETS)] += 1;
             }
         }
         if let Some(w) = write {
@@ -90,9 +87,11 @@ impl Analyzer for RegTrafficAnalyzer {
     fn emit(&self, out: &mut FeatureVector) {
         out[REG_BASE] = self.total_reads as f64 / self.total_instrs.max(1) as f64;
         out[REG_BASE + 1] = self.total_reads as f64 / self.total_writes.max(1) as f64;
-        let denom = self.dist_total.max(1) as f64;
-        for (i, &c) in self.dist_counts.iter().enumerate() {
-            out[REG_BASE + 2 + i] = c as f64 / denom;
+        let denom = self.dist_hist.iter().sum::<u64>().max(1) as f64;
+        let mut cumulative = 0;
+        for (i, &c) in self.dist_hist[..DIST_BUCKETS].iter().enumerate() {
+            cumulative += c;
+            out[REG_BASE + 2 + i] = cumulative as f64 / denom;
         }
     }
 

@@ -26,8 +26,15 @@ pub struct ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, or as many as the `PROPTEST_CASES` environment variable
+    /// asks for — as in proptest, the variable sets only the default, so
+    /// an explicit [`with_cases`](Self::with_cases) wins.
     fn default() -> Self {
-        ProptestConfig { cases: 64 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64);
+        ProptestConfig { cases }
     }
 }
 
