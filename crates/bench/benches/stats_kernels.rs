@@ -6,8 +6,7 @@ use std::hint::black_box;
 
 use phaselab_ga::{select_features, DistanceCorrelationFitness, GaConfig};
 use phaselab_stats::{
-    jacobi_eigen, kmeans, kmeans_reference, normalize_columns, pearson, rescaled_pca_space,
-    KmeansConfig, Matrix, Pca,
+    jacobi_eigen, kmeans, kmeans_reference, normalize_columns, pearson, KmeansConfig, Matrix, Pca,
 };
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -64,13 +63,6 @@ fn benches(c: &mut Criterion) {
     // PCA fit on a study-sized sample block.
     let data = random_matrix(2000, 69, 2);
     c.bench_function("pca_fit_2000x69", |b| b.iter(|| black_box(Pca::fit(&data))));
-
-    // The full rescaled-PCA-space construction used per GA fitness
-    // evaluation (prominent-phase sized).
-    let phases = random_matrix(100, 12, 3);
-    c.bench_function("rescaled_pca_space_100x12", |b| {
-        b.iter(|| black_box(rescaled_pca_space(&phases, 1.0)));
-    });
 
     // k-means at a reduced study shape.
     let space = random_matrix(1500, 14, 4);

@@ -1865,8 +1865,7 @@ fn fig1(r: &StudyResult) {
         return;
     }
     let rep_matrix = r.features.select_rows(&rep_rows);
-    let fitness = DistanceCorrelationFitness::new(&rep_matrix, r.config.pca_sd_threshold)
-        .with_threads(r.config.threads);
+    let fitness = DistanceCorrelationFitness::new(&rep_matrix, r.config.pca_sd_threshold);
     let score = |mask: &[bool]| fitness.score(mask);
 
     let max_k = 20.min(NUM_FEATURES);

@@ -171,6 +171,17 @@ impl StudyResult {
             .collect()
     }
 
+    /// Column statistics of the raw feature matrix (the first
+    /// normalization).
+    pub fn feature_norm(&self) -> &ColumnStats {
+        &self.feature_norm
+    }
+
+    /// The PCA model fitted on the normalized feature rows.
+    pub fn pca(&self) -> &Pca {
+        &self.pca
+    }
+
     /// The sampled rows assigned to `cluster`.
     pub fn rows_in_cluster(&self, cluster: usize) -> Vec<usize> {
         self.clustering.members_of(cluster)
@@ -428,15 +439,13 @@ pub fn run_study_with_resumable(
     let features = if streaming {
         Matrix::zeros(0, NUM_FEATURES)
     } else {
-        let mut rows = Vec::with_capacity(sampled.len());
-        for s in &sampled {
-            rows.push(
-                characterizations[s.bench].per_input[s.input][s.interval]
-                    .as_slice()
-                    .to_vec(),
+        let mut m = Matrix::zeros(sampled.len(), NUM_FEATURES);
+        for (r, s) in sampled.iter().enumerate() {
+            m.row_mut(r).copy_from_slice(
+                characterizations[s.bench].per_input[s.input][s.interval].as_slice(),
             );
         }
-        Matrix::from_rows(&rows)
+        m
     };
 
     // Step 3: normalize -> PCA (retain sd > threshold) -> normalize,
@@ -544,8 +553,7 @@ pub fn run_study_with_resumable(
         } else {
             features.select_rows(&rep_rows)
         };
-        let fitness = DistanceCorrelationFitness::new(&rep_matrix, cfg.pca_sd_threshold)
-            .with_threads(cfg.threads);
+        let fitness = DistanceCorrelationFitness::new(&rep_matrix, cfg.pca_sd_threshold);
         let mut ga_cfg = cfg.ga.clone();
         ga_cfg.seed ^= cfg.seed;
         ga_cfg.threads = cfg.threads;
@@ -823,7 +831,7 @@ where
     let mut cov = RunningCovariance::new(NUM_FEATURES);
     let mut scratch = vec![0.0f64; NUM_FEATURES];
     for_each(&mut |_, row| {
-        normalize_into(&feature_norm, row, &mut scratch);
+        feature_norm.apply_row(row, &mut scratch);
         cov.push(&scratch);
     })?;
     let pca = Pca::from_covariance(cov.means().to_vec(), &cov.covariance());
@@ -835,24 +843,11 @@ where
     let mut scores = Matrix::zeros(n_rows, pcs_retained);
     let mut scratch2 = vec![0.0f64; NUM_FEATURES];
     for_each(&mut |r, row| {
-        normalize_into(&feature_norm, row, &mut scratch2);
+        feature_norm.apply_row(row, &mut scratch2);
         pca.transform_row(&scratch2, scores.row_mut(r));
     })?;
 
     Ok((feature_norm, pca, pcs_retained, variance_explained, scores))
-}
-
-/// Z-scores one row into `out` with exactly
-/// [`ColumnStats::apply`]'s arithmetic, so streamed rows normalize to
-/// the same bits as materialized ones.
-fn normalize_into(stats: &ColumnStats, row: &[f64], out: &mut [f64]) {
-    for ((o, &v), (&mean, &std)) in out
-        .iter_mut()
-        .zip(row)
-        .zip(stats.means.iter().zip(&stats.stds))
-    {
-        *o = if std == 0.0 { 0.0 } else { (v - mean) / std };
-    }
 }
 
 /// Replays survivors' feature rows out of the checkpoint store, one

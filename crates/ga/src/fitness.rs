@@ -1,7 +1,6 @@
 //! The paper's distance-correlation fitness function.
 
-use phaselab_par::{effective_threads, parallel_chunks};
-use phaselab_stats::{distance, pearson, rescaled_pca_space, Matrix};
+use phaselab_stats::{distance, normalize_columns, CenteredSample, Matrix, Pca};
 
 /// Fitness of a characteristic mask: the Pearson correlation coefficient
 /// between the pairwise distances of the prominent phases in the reduced
@@ -11,6 +10,12 @@ use phaselab_stats::{distance, pearson, rescaled_pca_space, Matrix};
 /// → PCA, retain components with standard deviation > 1 → normalize), so
 /// that correlation between characteristics does not inflate distances —
 /// exactly the construction of §2.7 of the paper.
+///
+/// A mask's space is bit-identical to building it from the selected
+/// columns alone, but sliced from state computed once: z-scoring works
+/// column by column, and each covariance cell depends only on its own
+/// two columns, so the selected columns' normalization and covariance
+/// are those of the whole matrix, restricted.
 ///
 /// # Examples
 ///
@@ -33,15 +38,27 @@ use phaselab_stats::{distance, pearson, rescaled_pca_space, Matrix};
 /// ```
 #[derive(Debug, Clone)]
 pub struct DistanceCorrelationFitness {
-    phases: Matrix,
+    phases: NormalizedPhases,
+    /// The full-space pairwise distances, centered for the correlation.
+    full_distances: CenteredSample,
+}
+
+/// What every mask's rescaled PCA space is sliced from.
+#[derive(Debug, Clone)]
+struct NormalizedPhases {
+    /// The z-scored phases.
+    normed: Matrix,
+    /// Column means of `normed` (the PCA centering).
+    means: Vec<f64>,
+    /// Covariance of `normed`.
+    cov: Matrix,
     sd_threshold: f64,
-    full_distances: Vec<f64>,
-    threads: usize,
 }
 
 impl DistanceCorrelationFitness {
     /// Creates the fitness function for a phases-by-characteristics
-    /// matrix, precomputing the full-space distances.
+    /// matrix, precomputing its normalization, its covariance and the
+    /// full-space distances.
     ///
     /// # Panics
     ///
@@ -52,28 +69,24 @@ impl DistanceCorrelationFitness {
             phases.rows() >= 3,
             "need at least 3 phases for a distance correlation"
         );
-        let full_space = rescaled_pca_space(phases, sd_threshold);
-        let full_distances = pairwise_distances(&full_space, 1);
-        DistanceCorrelationFitness {
-            phases: phases.clone(),
+        let (normed, _) = normalize_columns(phases);
+        let phases = NormalizedPhases {
+            means: normed.column_means(),
+            cov: normed.covariance(),
+            normed,
             sd_threshold,
+        };
+        let all: Vec<usize> = (0..phases.normed.cols()).collect();
+        let full_distances = CenteredSample::new(&pairwise_distances(&phases.rescaled_space(&all)));
+        DistanceCorrelationFitness {
+            phases,
             full_distances,
-            threads: 1,
         }
-    }
-
-    /// Sets the worker thread count for the distance kernel (0 = all
-    /// cores). Scores are identical for every value; small problems run
-    /// serially regardless, so a fitness shared by already-parallel GA
-    /// workers does not oversubscribe the machine.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Number of characteristics.
     pub fn num_features(&self) -> usize {
-        self.phases.cols()
+        self.phases.normed.cols()
     }
 
     /// Scores a mask (`true` = characteristic retained).
@@ -85,61 +98,56 @@ impl DistanceCorrelationFitness {
     /// Panics if the mask length differs from the number of
     /// characteristics.
     pub fn score(&self, mask: &[bool]) -> f64 {
-        assert_eq!(mask.len(), self.phases.cols(), "mask length mismatch");
+        assert_eq!(mask.len(), self.num_features(), "mask length mismatch");
         let selected: Vec<usize> = (0..mask.len()).filter(|&i| mask[i]).collect();
         if selected.is_empty() {
             return 0.0;
         }
-        let reduced = self.phases.select_columns(&selected);
-        let reduced_space = rescaled_pca_space(&reduced, self.sd_threshold);
-        let reduced_distances = pairwise_distances(&reduced_space, self.threads);
-        pearson(&self.full_distances, &reduced_distances)
+        let reduced_distances = pairwise_distances(&self.phases.rescaled_space(&selected));
+        self.full_distances.pearson(&reduced_distances)
     }
 }
 
-/// Below this many distance components (pairs × dimensionality) the
-/// kernel stays serial: thread handoff would cost more than the math,
-/// and fitness functions already scored on parallel GA workers should
-/// not fan out again.
-const PAIRWISE_PAR_THRESHOLD: usize = 1 << 16;
-
-/// Rows per parallel chunk of the pairwise kernel. Fixed so the output
-/// layout is a pure function of the input size.
-const PAIRWISE_ROW_CHUNK: usize = 16;
+impl NormalizedPhases {
+    /// The rescaled PCA space of the (ascending) `selected` columns:
+    /// PCA fitted on the restricted covariance, the selected normalized
+    /// columns projected onto the retained components, and the scores
+    /// z-scored.
+    fn rescaled_space(&self, selected: &[usize]) -> Matrix {
+        let k = selected.len();
+        let mut cov = Matrix::zeros(k, k);
+        for (a, &i) in selected.iter().enumerate() {
+            let full = self.cov.row(i);
+            for (c, &j) in cov.row_mut(a).iter_mut().zip(selected) {
+                *c = full[j];
+            }
+        }
+        let pca = Pca::from_covariance(selected.iter().map(|&i| self.means[i]).collect(), &cov);
+        let retained = pca.count_above(self.sd_threshold).max(1);
+        let mut scores = Matrix::zeros(self.normed.rows(), retained);
+        let mut row = vec![0.0; k];
+        for r in 0..self.normed.rows() {
+            let full = self.normed.row(r);
+            for (x, &i) in row.iter_mut().zip(selected) {
+                *x = full[i];
+            }
+            pca.transform_row(&row, scores.row_mut(r));
+        }
+        normalize_columns(&scores).0
+    }
+}
 
 /// The upper-triangle pairwise distances of the rows of `m`, in a fixed
 /// (row-major) order: `(0,1), (0,2), …, (1,2), …`.
-///
-/// Row blocks are computed on up to `threads` workers (0 = all cores)
-/// and concatenated in block order, reproducing the serial layout
-/// exactly for any thread count.
-pub(crate) fn pairwise_distances(m: &Matrix, threads: usize) -> Vec<f64> {
+pub(crate) fn pairwise_distances(m: &Matrix) -> Vec<f64> {
     let n = m.rows();
-    if n < 2 {
-        return Vec::new();
-    }
-    let work = n * (n - 1) / 2 * m.cols().max(1);
-    let threads = if work < PAIRWISE_PAR_THRESHOLD {
-        1
-    } else {
-        effective_threads(threads)
-    };
-    let row_block = |rows: std::ops::Range<usize>| -> Vec<f64> {
-        let mut out = Vec::new();
-        for i in rows {
-            for j in (i + 1)..n {
-                out.push(distance(m.row(i), m.row(j)));
-            }
+    let mut out = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            out.push(distance(m.row(i), m.row(j)));
         }
-        out
-    };
-    if threads <= 1 {
-        return row_block(0..n);
     }
-    parallel_chunks(n, PAIRWISE_ROW_CHUNK, threads, row_block)
-        .into_iter()
-        .flatten()
-        .collect()
+    out
 }
 
 #[cfg(test)]
@@ -217,25 +225,9 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_kernel_identical_across_thread_counts() {
-        // Large enough to clear the parallel threshold.
-        let m = random_phases(120, 24, 9);
-        let serial = pairwise_distances(&m, 1);
-        assert_eq!(serial.len(), 120 * 119 / 2);
-        for threads in [2, 4, 0] {
-            let par = pairwise_distances(&m, threads);
-            let same = serial
-                .iter()
-                .zip(&par)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same && serial.len() == par.len(), "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn pairwise_kernel_handles_tiny_inputs() {
-        assert!(pairwise_distances(&Matrix::zeros(1, 3), 4).is_empty());
-        assert_eq!(pairwise_distances(&Matrix::zeros(2, 3), 4), vec![0.0]);
+        assert!(pairwise_distances(&Matrix::zeros(1, 3)).is_empty());
+        assert_eq!(pairwise_distances(&Matrix::zeros(2, 3)), vec![0.0]);
     }
 
     #[test]

@@ -32,6 +32,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod equivalence;
 mod evolve;
 mod fitness;
 mod greedy;

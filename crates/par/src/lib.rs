@@ -203,28 +203,42 @@ where
     let tallies: Vec<Mutex<(u64, u64)>> = (0..workers).map(|_| Mutex::new((0, 0))).collect();
 
     std::thread::scope(|scope| {
-        for tally in &tallies {
-            let (cursor, slots, run) = (&cursor, &slots, &run);
-            scope.spawn(move || {
-                let (mut done, mut wasted) = (0u64, 0u64);
-                loop {
-                    if token.is_some_and(CancelToken::is_cancelled) {
-                        break;
+        let handles: Vec<_> = tallies
+            .iter()
+            .map(|tally| {
+                let (cursor, slots, run) = (&cursor, &slots, &run);
+                scope.spawn(move || {
+                    let (mut done, mut wasted) = (0u64, 0u64);
+                    loop {
+                        if token.is_some_and(CancelToken::is_cancelled) {
+                            break;
+                        }
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        if idx >= n {
+                            wasted += 1;
+                            break;
+                        }
+                        let out = run(idx);
+                        *slots[idx].lock().expect("result slot poisoned") = Some(out);
+                        done += 1;
+                        if let Some(t) = token {
+                            t.task_completed();
+                        }
                     }
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        wasted += 1;
-                        break;
-                    }
-                    let out = run(idx);
-                    *slots[idx].lock().expect("result slot poisoned") = Some(out);
-                    done += 1;
-                    if let Some(t) = token {
-                        t.task_completed();
-                    }
-                }
-                *tally.lock().expect("tally slot poisoned") = (done, wasted);
-            });
+                    *tally.lock().expect("tally slot poisoned") = (done, wasted);
+                })
+            })
+            .collect();
+        // Join every worker rather than leaving it to the scope, which
+        // returns once the closures finish but before the threads exit
+        // and hand their malloc arenas back. The next call's workers
+        // would then find no free arena and make fresh ones, so which
+        // arenas grow, and the process's peak RSS, would vary from run
+        // to run.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 

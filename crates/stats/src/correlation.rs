@@ -22,24 +22,51 @@
 /// ```
 pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "samples must have equal length");
-    assert!(x.len() >= 2, "correlation needs at least two observations");
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (&a, &b) in x.iter().zip(y) {
-        let dx = a - mx;
-        let dy = b - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
+    CenteredSample::new(x).pearson(y)
+}
+
+/// The `x` side of [`pearson`], centered once to correlate many `y`s
+/// against. `pearson` accumulates `x − mean(x)` and its sum of squares
+/// independently of `y`, so every coefficient keeps its bits.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CenteredSample {
+    dev: Vec<f64>,
+    sum_sq: f64,
+}
+
+impl CenteredSample {
+    /// Centers `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has fewer than two elements.
+    pub fn new(x: &[f64]) -> Self {
+        assert!(x.len() >= 2, "correlation needs at least two observations");
+        let mx = x.iter().sum::<f64>() / x.len() as f64;
+        let dev: Vec<f64> = x.iter().map(|&a| a - mx).collect();
+        let sum_sq = dev.iter().fold(0.0, |s, &d| s + d * d);
+        CenteredSample { dev, sum_sq }
     }
-    if sxx <= 0.0 || syy <= 0.0 {
-        return 0.0;
+
+    /// `pearson(x, y)` for the centered `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y`'s length differs from `x`'s.
+    pub fn pearson(&self, y: &[f64]) -> f64 {
+        assert_eq!(self.dev.len(), y.len(), "samples must have equal length");
+        let my = y.iter().sum::<f64>() / y.len() as f64;
+        let (mut sxy, mut syy) = (0.0, 0.0);
+        for (&dx, &b) in self.dev.iter().zip(y) {
+            let dy = b - my;
+            sxy += dx * dy;
+            syy += dy * dy;
+        }
+        if self.sum_sq <= 0.0 || syy <= 0.0 {
+            return 0.0;
+        }
+        (sxy / (self.sum_sq.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
     }
-    (sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
 }
 
 /// Spearman rank correlation coefficient between two equal-length samples.

@@ -51,15 +51,17 @@ pub fn jacobi_eigen(m: &Matrix) -> EigenDecomposition {
         }
     }
 
-    let mut a = m.clone();
-    let mut v = Matrix::identity(n);
+    // `a` is row-major; `vt` holds Vᵀ, so each eigenvector column of V
+    // is a contiguous row that the rotations update in place.
+    let flat = |m: &Matrix| -> Vec<f64> { m.iter_rows().flatten().copied().collect() };
+    let (mut a, mut vt) = (flat(m), flat(&Matrix::identity(n)));
 
     const MAX_SWEEPS: usize = 100;
     for _ in 0..MAX_SWEEPS {
         let mut off = 0.0;
         for i in 0..n {
-            for j in (i + 1)..n {
-                off += a.get(i, j) * a.get(i, j);
+            for &x in &a[i * n + i + 1..(i + 1) * n] {
+                off += x * x;
             }
         }
         if off.sqrt() < 1e-12 {
@@ -67,12 +69,12 @@ pub fn jacobi_eigen(m: &Matrix) -> EigenDecomposition {
         }
         for p in 0..n {
             for q in (p + 1)..n {
-                let apq = a.get(p, q);
+                let apq = a[p * n + q];
                 if apq.abs() < 1e-300 {
                     continue;
                 }
-                let app = a.get(p, p);
-                let aqq = a.get(q, q);
+                let app = a[p * n + p];
+                let aqq = a[q * n + q];
                 let theta = (aqq - app) / (2.0 * apq);
                 // Stable tangent of the rotation angle.
                 let t = if theta >= 0.0 {
@@ -84,45 +86,48 @@ pub fn jacobi_eigen(m: &Matrix) -> EigenDecomposition {
                 let s = t * c;
 
                 // Apply the rotation A <- J^T A J on rows/cols p and q.
-                for k in 0..n {
-                    let akp = a.get(k, p);
-                    let akq = a.get(k, q);
-                    a.set(k, p, c * akp - s * akq);
-                    a.set(k, q, s * akp + c * akq);
+                for row in a.chunks_exact_mut(n) {
+                    let akp = row[p];
+                    let akq = row[q];
+                    row[p] = c * akp - s * akq;
+                    row[q] = s * akp + c * akq;
                 }
-                for k in 0..n {
-                    let apk = a.get(p, k);
-                    let aqk = a.get(q, k);
-                    a.set(p, k, c * apk - s * aqk);
-                    a.set(q, k, s * apk + c * aqk);
-                }
+                rotate_rows(&mut a, n, p, q, c, s);
                 // Accumulate eigenvectors: V <- V J.
-                for k in 0..n {
-                    let vkp = v.get(k, p);
-                    let vkq = v.get(k, q);
-                    v.set(k, p, c * vkp - s * vkq);
-                    v.set(k, q, s * vkp + c * vkq);
-                }
+                rotate_rows(&mut vt, n, p, q, c, s);
             }
         }
     }
 
     // Extract and sort by descending eigenvalue.
     let mut order: Vec<usize> = (0..n).collect();
-    let diag: Vec<f64> = (0..n).map(|i| a.get(i, i)).collect();
+    let diag: Vec<f64> = (0..n).map(|i| a[i * n + i]).collect();
     order.sort_by(|&i, &j| diag[j].partial_cmp(&diag[i]).expect("non-NaN eigenvalues"));
 
     let eigenvalues: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
     let mut eigenvectors = Matrix::zeros(n, n);
     for (new_col, &old_col) in order.iter().enumerate() {
-        for r in 0..n {
-            eigenvectors.set(r, new_col, v.get(r, old_col));
+        for (r, &x) in vt[old_col * n..(old_col + 1) * n].iter().enumerate() {
+            eigenvectors.set(r, new_col, x);
         }
     }
 
     EigenDecomposition {
         eigenvalues,
         eigenvectors,
+    }
+}
+
+/// Rotates rows `p < q` of the row-major `n`-wide buffer `m` in place:
+/// `(m_p, m_q) <- (c·m_p − s·m_q, s·m_p + c·m_q)`, element by element.
+fn rotate_rows(m: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (head, tail) = m.split_at_mut(q * n);
+    let rp = &mut head[p * n..(p + 1) * n];
+    let rq = &mut tail[..n];
+    for (xp, xq) in rp.iter_mut().zip(rq.iter_mut()) {
+        let (vp, vq) = (*xp, *xq);
+        *xp = c * vp - s * vq;
+        *xq = s * vp + c * vq;
     }
 }
 

@@ -40,6 +40,8 @@
 
 mod correlation;
 mod eigen;
+#[cfg(test)]
+mod equivalence;
 mod hierarchical;
 mod kmeans;
 mod matrix;
@@ -47,7 +49,7 @@ mod normalize;
 mod pca;
 mod streaming;
 
-pub use correlation::{pearson, spearman};
+pub use correlation::{pearson, spearman, CenteredSample};
 pub use eigen::{jacobi_eigen, EigenDecomposition};
 pub use hierarchical::{hierarchical_cluster, Dendrogram, Merge};
 pub use kmeans::{
@@ -55,7 +57,7 @@ pub use kmeans::{
 };
 pub use matrix::Matrix;
 pub use normalize::{normalize_columns, ColumnStats};
-pub use pca::{rescaled_pca_space, Pca};
+pub use pca::Pca;
 pub use streaming::{RunningColumnStats, RunningCovariance, RELATIVE_STD_FLOOR};
 
 /// Squared Euclidean distance between two equal-length vectors.

@@ -176,21 +176,6 @@ impl Matrix {
         out
     }
 
-    /// Selects a subset of columns, in the given order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_columns(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, indices.len());
-        for r in 0..self.rows {
-            for (j, &c) in indices.iter().enumerate() {
-                out.set(r, j, self.get(r, c));
-            }
-        }
-        out
-    }
-
     /// Selects a subset of rows, in the given order.
     ///
     /// # Panics
@@ -305,12 +290,11 @@ mod tests {
     }
 
     #[test]
-    fn select_columns_and_rows() {
+    fn select_rows_in_order() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let sub = m.select_columns(&[2, 0]);
-        assert_eq!(sub.row(0), &[3.0, 1.0]);
-        let rows = m.select_rows(&[1]);
+        let rows = m.select_rows(&[1, 0]);
         assert_eq!(rows.row(0), &[4.0, 5.0, 6.0]);
+        assert_eq!(rows.row(1), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

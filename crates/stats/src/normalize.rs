@@ -53,14 +53,25 @@ impl ColumnStats {
     /// Panics if the column counts disagree.
     pub fn apply(&self, m: &Matrix) -> Matrix {
         assert_eq!(m.cols(), self.means.len(), "column count mismatch");
-        let mut out = m.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for (v, (&mean, &std)) in row.iter_mut().zip(self.means.iter().zip(&self.stds)) {
-                *v = if std == 0.0 { 0.0 } else { (*v - mean) / std };
-            }
+        let mut out = Matrix::zeros(m.rows(), m.cols());
+        for r in 0..m.rows() {
+            self.apply_row(m.row(r), out.row_mut(r));
         }
         out
+    }
+
+    /// Normalizes one row into `out`. [`apply`](Self::apply) is this per
+    /// row, so streamed rows normalize to the same bits as a matrix.
+    pub fn apply_row(&self, row: &[f64], out: &mut [f64]) {
+        assert_eq!(row.len(), self.means.len(), "column count mismatch");
+        assert_eq!(out.len(), row.len(), "column count mismatch");
+        for ((o, &v), (&mean, &std)) in out
+            .iter_mut()
+            .zip(row)
+            .zip(self.means.iter().zip(&self.stds))
+        {
+            *o = if std == 0.0 { 0.0 } else { (v - mean) / std };
+        }
     }
 }
 

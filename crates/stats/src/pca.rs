@@ -29,9 +29,9 @@ use crate::matrix::Matrix;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pca {
-    means: Vec<f64>,
+    pub(crate) means: Vec<f64>,
     /// Columns are principal directions, ordered by decreasing variance.
-    components: Matrix,
+    pub(crate) components: Matrix,
     /// Variance of each principal component (eigenvalues, clamped at 0).
     variances: Vec<f64>,
 }
@@ -43,20 +43,7 @@ impl Pca {
     ///
     /// Panics if `m` has fewer than two rows.
     pub fn fit(m: &Matrix) -> Self {
-        let _span = phaselab_obs::span!("pca.fit");
-        phaselab_obs::counter_add("pca.fits", phaselab_obs::Class::Structural, 1);
-        let cov = m.covariance();
-        let eig = jacobi_eigen(&cov);
-        let variances = eig
-            .eigenvalues
-            .iter()
-            .map(|&v| if v > 0.0 { v } else { 0.0 })
-            .collect();
-        Pca {
-            means: m.column_means(),
-            components: eig.eigenvectors,
-            variances,
-        }
+        Pca::from_covariance(m.column_means(), &m.covariance())
     }
 
     /// Fits a PCA model from an already-accumulated covariance matrix and
@@ -65,9 +52,8 @@ impl Pca {
     /// This is the streaming entry point: feed rows through a
     /// [`RunningCovariance`](crate::RunningCovariance) and hand its
     /// [`covariance()`](crate::RunningCovariance::covariance) and
-    /// [`means()`](crate::RunningCovariance::means) here. Given the same
-    /// covariance and means, the fitted model is bit-identical to
-    /// [`Pca::fit`]'s eigendecomposition of that matrix.
+    /// [`means()`](crate::RunningCovariance::means) here. [`Pca::fit`] is
+    /// this over a matrix's own means and covariance.
     ///
     /// # Panics
     ///
@@ -165,51 +151,18 @@ impl Pca {
     pub fn transform_row(&self, row: &[f64], out: &mut [f64]) {
         assert_eq!(row.len(), self.input_dim(), "dimensionality mismatch");
         assert!(out.len() <= self.input_dim(), "k out of range");
-        for (c, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (j, &x) in row.iter().enumerate() {
-                acc += (x - self.means[j]) * self.components.get(j, c);
+        // j outer, c inner: each input is centered once and component
+        // rows are read contiguously, while every score still sums
+        // +0.0 and its terms in ascending j.
+        let k = out.len();
+        out.fill(0.0);
+        for (j, (&x, &mean)) in row.iter().zip(&self.means).enumerate() {
+            let d = x - mean;
+            for (o, &w) in out.iter_mut().zip(&self.components.row(j)[..k]) {
+                *o += d * w;
             }
-            *o = acc;
         }
     }
-}
-
-/// Projects `m` into the paper's "rescaled PCA space": z-score normalize
-/// the columns, fit PCA, retain the components whose standard deviation
-/// exceeds `sd_threshold`, project, and z-score normalize the retained
-/// component scores so each underlying program characteristic gets equal
-/// weight.
-///
-/// At least one component is always retained, so the result is never
-/// zero-dimensional.
-///
-/// # Panics
-///
-/// Panics if `m` has fewer than two rows.
-///
-/// # Examples
-///
-/// ```
-/// use phaselab_stats::{rescaled_pca_space, Matrix};
-///
-/// let m = Matrix::from_rows(&[
-///     vec![1.0, 10.0, 0.0],
-///     vec![2.0, 20.0, 1.0],
-///     vec![3.0, 30.0, 0.0],
-///     vec![4.0, 40.0, 1.0],
-/// ]);
-/// let space = rescaled_pca_space(&m, 1.0);
-/// assert_eq!(space.rows(), 4);
-/// assert!(space.cols() >= 1);
-/// ```
-pub fn rescaled_pca_space(m: &Matrix, sd_threshold: f64) -> Matrix {
-    let (normed, _) = crate::normalize_columns(m);
-    let pca = Pca::fit(&normed);
-    let k = pca.count_above(sd_threshold).max(1);
-    let scores = pca.transform(&normed, k);
-    let (rescaled, _) = crate::normalize_columns(&scores);
-    rescaled
 }
 
 #[cfg(test)]

@@ -180,6 +180,8 @@ pub struct RunningCovariance {
     comoment: Matrix,
     /// Scratch: deviations from the pre-update means.
     delta_old: Vec<f64>,
+    /// Scratch: deviations from the post-update means.
+    delta_new: Vec<f64>,
 }
 
 impl RunningCovariance {
@@ -190,6 +192,7 @@ impl RunningCovariance {
             means: vec![0.0; cols],
             comoment: Matrix::zeros(cols, cols),
             delta_old: vec![0.0; cols],
+            delta_new: vec![0.0; cols],
         }
     }
 
@@ -221,15 +224,15 @@ impl RunningCovariance {
         for (j, &v) in row.iter().enumerate() {
             self.delta_old[j] = v - self.means[j];
             self.means[j] += self.delta_old[j] / n;
+            self.delta_new[j] = v - self.means[j];
         }
-        for i in 0..self.cols() {
-            if self.delta_old[i] == 0.0 {
+        for (i, &di) in self.delta_old.iter().enumerate() {
+            if di == 0.0 {
                 continue;
             }
-            let di = self.delta_old[i];
-            let crow = self.comoment.row_mut(i);
-            for (j, c) in crow.iter_mut().enumerate().skip(i) {
-                *c += di * (row[j] - self.means[j]);
+            let crow = &mut self.comoment.row_mut(i)[i..];
+            for (c, &dj) in crow.iter_mut().zip(&self.delta_new[i..]) {
+                *c += di * dj;
             }
         }
     }
