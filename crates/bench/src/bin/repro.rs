@@ -215,10 +215,6 @@ const EXPERIMENTS: &[&str] = &[
 /// retain.
 const STREAMING_INCOMPATIBLE: &[&str] = &["fig1", "fig23", "motivation", "all"];
 
-/// Commands that drive the characterization service instead of running
-/// a study in-process. They occupy the experiment slot, like `lint`.
-const SERVICE_COMMANDS: &[&str] = &["serve", "submit", "jobs", "cache"];
-
 const USAGE: &str = "usage: repro [options] <experiment>
 
 experiments:
@@ -298,31 +294,12 @@ diagnostics:
                      deny-severity finding. Combine with --json for the
                      machine-readable schema shared with --verify-only.
 
-service (characterization-as-a-service over a spool directory):
-  serve              run the job server over --queue-dir: admit submissions
-                     under the --jobs concurrency budget, dedupe identical
-                     specs to one execution, run each job as a child repro
-                     process against the shared store under the queue root.
-                     --drain exits once the queue is empty; otherwise serve
-                     until interrupted. PHASELAB_SERVE_TIMEOUT_MS bounds each
-                     job's wall clock.
-  submit [EXPERIMENT] submit a job built from the study flags above to
-                     --queue-dir and print its name (default experiment: all).
-                     With --wait, poll until it completes, print the result
-                     location, and exit 1 if the job failed.
-  jobs               list every submission in --queue-dir with its state
-  cache [stats|gc]   result-cache maintenance over --checkpoint-dir, usable
-                     without the server: `stats` (the default) prints entry
-                     and byte counts by kind; `gc` evicts least-recently-used
-                     entries down to --max-bytes, skipping pinned fingerprints
-
-service options:
-  --queue-dir DIR    the spool directory (serve/submit/jobs; created on first
-                     use; holds queue state, results, and the shared store)
-  --jobs N           serve: max concurrently executing jobs (default: 2)
-  --drain            serve: exit when the queue is empty and nothing is running
-  --wait             submit: block until the job completes
-  --max-bytes N      cache gc: evict down to this many bytes
+store maintenance:
+  cache [stats|gc]   maintain the existing store named by --checkpoint-dir:
+                     `stats` (the default) prints entry and byte counts by
+                     kind; `gc --max-bytes N` evicts least-recently-used
+                     entries until the store holds at most N bytes. Evicted
+                     entries are recomputed by the next study that needs them.
 
 exit codes: 0 success, 1 study/runtime error, 2 usage error, 130 interrupted";
 
@@ -344,19 +321,9 @@ struct Cli {
     supervise: Option<u32>,
     /// `--json`: machine-readable diagnostics for `lint`/`--verify-only`.
     json: bool,
-    /// `--queue-dir`: the spool directory for `serve`/`submit`/`jobs`.
-    queue_dir: Option<std::path::PathBuf>,
-    /// `--jobs N`: the serve loop's concurrency budget.
-    jobs_budget: usize,
-    /// `--drain`: serve exits once the queue runs dry.
-    drain: bool,
-    /// `--wait`: submit blocks until its job completes.
-    wait: bool,
-    /// `--max-bytes N`: the `cache gc` size budget.
+    /// `--max-bytes N`: the `cache gc` size budget (present exactly
+    /// when the command is `cache gc`).
     max_bytes: Option<u64>,
-    /// The service command's own positional: the experiment for
-    /// `submit`, the action for `cache`.
-    subarg: Option<String>,
 }
 
 fn main() {
@@ -378,8 +345,8 @@ fn main() {
     if cli.command == "lint" {
         std::process::exit(lint_registry(cli.cfg.scale, cli.json));
     }
-    if SERVICE_COMMANDS.contains(&cli.command.as_str()) {
-        std::process::exit(run_service(&cli));
+    if cli.command == "cache" {
+        std::process::exit(cmd_cache(&cli));
     }
     let store = match &cli.checkpoint_dir {
         Some(dir) => match CheckpointStore::open(dir) {
@@ -1006,324 +973,52 @@ fn run_supervised(
     run_experiment(&cli.cfg, &cli.command, &cli.only, Some(store), token)
 }
 
-// ---------------------------------------------------------------------
-// Characterization-as-a-service: `serve`, `submit`, `jobs`, `cache`
-// (DESIGN.md §18). The server and queue mechanics live in
-// `phaselab-serve`; this side owns the real job runner — each job is a
-// child `repro` invocation against the shared store under the queue
-// root, which is what makes a served report byte-identical to a direct
-// run.
-// ---------------------------------------------------------------------
-
-/// Dispatches a service command; returns the process exit code.
-fn run_service(cli: &Cli) -> i32 {
-    match cli.command.as_str() {
-        "serve" => cmd_serve(cli),
-        "submit" => cmd_submit(cli),
-        "jobs" => cmd_jobs(cli),
-        "cache" => cmd_cache(cli),
-        other => unreachable!("`{other}` is not a service command"),
-    }
-}
-
-fn open_queue(cli: &Cli) -> Result<phaselab_serve::Queue, i32> {
-    let dir = cli
-        .queue_dir
-        .as_ref()
-        .expect("parse_args requires --queue-dir for queue commands");
-    phaselab_serve::Queue::open(dir).map_err(|e| {
-        eprintln!("repro: cannot open queue dir `{}`: {e}", dir.display());
-        EXIT_RUNTIME
-    })
-}
-
-/// `PHASELAB_SERVE_TIMEOUT_MS`: per-job wall-clock budget for the
-/// serve loop's watchdog; unset means unbounded.
-fn serve_timeout_from_env() -> Option<std::time::Duration> {
-    std::env::var("PHASELAB_SERVE_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(std::time::Duration::from_millis)
-}
-
-/// `repro serve`: runs the job server over the spool directory until
-/// interrupted (or until the queue drains, with `--drain`).
-fn cmd_serve(cli: &Cli) -> i32 {
-    let queue = match open_queue(cli) {
-        Ok(q) => q,
-        Err(code) => return code,
-    };
-    if cli.metrics_out.is_some() {
-        phaselab_obs::install();
-    }
-    let token = CancelToken::new();
-    install_interrupt_handler(&token);
-    let scfg = phaselab_serve::ServeConfig {
-        jobs: cli.jobs_budget,
-        drain: cli.drain,
-        job_timeout: serve_timeout_from_env(),
-        ..phaselab_serve::ServeConfig::default()
-    };
-    eprintln!(
-        "[repro] serving {} with a budget of {} job(s){}",
-        queue.root().display(),
-        scfg.jobs,
-        if scfg.drain { " (drain mode)" } else { "" }
-    );
-    let report = match phaselab_serve::serve(&queue, &scfg, &token, &run_served_job) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("repro: serve loop failed: {e}");
-            return EXIT_RUNTIME;
-        }
-    };
-    eprintln!(
-        "[repro] serve done: {} admitted, {} deduped, {} completed, {} failed, {} requeued",
-        report.admitted, report.deduped, report.completed, report.failed, report.requeued
-    );
-    if let Some(path) = &cli.metrics_out {
-        write_metrics_manifest(&cli.cfg, "serve", path);
-    }
-    if token.is_cancelled() && !cli.drain {
-        EXIT_INTERRUPTED
-    } else {
-        0
-    }
-}
-
-/// The real job runner: executes one served study as a child `repro`
-/// process with the spec's own argv plus the server-owned flags, and
-/// publishes the child's stdout as the job's report. Running the exact
-/// direct-invocation argv is the byte-identity argument: a served
-/// study IS a direct run, just spawned by the server.
-fn run_served_job(
-    spec: &phaselab_serve::JobSpec,
-    ctx: &phaselab_serve::JobContext,
-) -> Result<String, String> {
-    use std::process::{Command, Stdio};
-    // Hold a pin on the study's checkpoints so a concurrent `cache gc`
-    // cannot evict entries out from under the child.
-    let _pin = pin_spec(spec, &ctx.store_dir);
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate repro binary: {e}"))?;
-    std::fs::create_dir_all(&ctx.results_dir).map_err(|e| e.to_string())?;
-    let report_tmp = ctx.results_dir.join("report.txt.tmp");
-    let report_out =
-        std::fs::File::create(&report_tmp).map_err(|e| format!("cannot stage report file: {e}"))?;
-    let mut cmd = Command::new(exe);
-    cmd.args(spec.argv())
-        .arg("--checkpoint-dir")
-        .arg(&ctx.store_dir)
-        .arg("--metrics-out")
-        .arg(ctx.results_dir.join("manifest.json"))
-        .stdin(Stdio::null())
-        .stdout(Stdio::from(report_out));
-    // Faults aimed at the server (queue I/O) must not re-arm inside
-    // every study child; `PHASELAB_FAULTS_WORKER` opts children in,
-    // mirroring the supervisor's convention.
-    cmd.env_remove("PHASELAB_FAULTS");
-    if let Ok(plan) = std::env::var("PHASELAB_FAULTS_WORKER") {
-        cmd.env("PHASELAB_FAULTS", plan);
-    }
-    let mut child = cmd
-        .spawn()
-        .map_err(|e| format!("cannot spawn job child: {e}"))?;
-    loop {
-        match child.try_wait() {
-            Ok(Some(status)) => {
-                if status.success() {
-                    std::fs::rename(&report_tmp, ctx.results_dir.join("report.txt"))
-                        .map_err(|e| format!("cannot publish report: {e}"))?;
-                    return Ok(ctx.results_dir.display().to_string());
-                }
-                let _ = std::fs::remove_file(&report_tmp);
-                return Err(format!("job child exited with {status}"));
-            }
-            Ok(None) => {}
-            Err(e) => return Err(format!("cannot wait for job child: {e}")),
-        }
-        let timed_out = ctx.deadline.is_some_and(|d| std::time::Instant::now() >= d);
-        if ctx.cancel.is_cancelled() || timed_out {
-            phaselab_bench::supervise::terminate(&mut child);
-            let _ = child.wait();
-            let _ = std::fs::remove_file(&report_tmp);
-            return Err(if timed_out {
-                "job exceeded its wall-clock budget".to_string()
-            } else {
-                "server shutting down".to_string()
-            });
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-}
-
-/// Computes the study's characterization fingerprint exactly the way
-/// the child will (same argv through the same `parse_args`, same
-/// defaults) and pins it in the shared store for the job's duration.
-fn pin_spec(spec: &phaselab_serve::JobSpec, store_dir: &Path) -> Option<phaselab_core::PinGuard> {
-    let cli = parse_args(&spec.argv()).ok()?;
-    let cache = phaselab_core::ResultCache::open(store_dir).ok()?;
-    cache.pin(characterization_fingerprint(&cli.cfg)).ok()
-}
-
-/// Builds the job spec a `submit` invocation describes: the study
-/// shape from the parsed flags plus the submitted experiment.
-fn job_spec_from_cli(cli: &Cli) -> phaselab_serve::JobSpec {
-    let scale = match cli.cfg.scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Full => "full",
-    };
-    phaselab_serve::JobSpec {
-        experiment: cli.subarg.clone().unwrap_or_else(|| "all".to_string()),
-        scale: scale.to_string(),
-        interval_len: cli.cfg.interval_len,
-        samples: cli.cfg.samples_per_benchmark as u64,
-        k: cli.cfg.k as u64,
-        seed: cli.cfg.seed,
-        engine: cli.cfg.engine.name().to_string(),
-        suites: cli
-            .cfg
-            .suites
-            .as_ref()
-            .map(|s| s.iter().map(|x| x.short_name().to_string()).collect()),
-        only: cli.only.clone(),
-        max_inst_per_bench: cli.cfg.max_inst_per_bench,
-        static_analysis: cli.cfg.static_analysis,
-        kmeans_batch: cli.cfg.kmeans_batch.map(|b| b as u64),
-    }
-}
-
-/// `repro submit [EXPERIMENT]`: publishes one job to the spool and
-/// prints its name on stdout; with `--wait`, polls until a server
-/// completes it.
-fn cmd_submit(cli: &Cli) -> i32 {
-    let queue = match open_queue(cli) {
-        Ok(q) => q,
-        Err(code) => return code,
-    };
-    let spec = job_spec_from_cli(cli);
-    let name = match queue.submit(&spec) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("repro: submit failed: {e}");
-            return EXIT_RUNTIME;
-        }
-    };
-    println!("{name}");
-    eprintln!(
-        "[repro] submitted `{}` as {name} (fingerprint {:016x})",
-        spec.experiment,
-        spec.fingerprint()
-    );
-    if !cli.wait {
-        return 0;
-    }
-    let token = CancelToken::new();
-    install_interrupt_handler(&token);
-    loop {
-        if let Some(rec) = queue.read_done(&name) {
-            eprintln!("[repro] job {name}: {} ({})", rec.status, rec.detail);
-            return match rec.status {
-                phaselab_serve::JobStatus::Failed => EXIT_RUNTIME,
-                _ => 0,
-            };
-        }
-        if token.is_cancelled() {
-            eprintln!("[repro] wait interrupted; the job stays queued");
-            return EXIT_INTERRUPTED;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(200));
-    }
-}
-
-/// `repro jobs`: one line per submission with its current state.
-fn cmd_jobs(cli: &Cli) -> i32 {
-    let queue = match open_queue(cli) {
-        Ok(q) => q,
-        Err(code) => return code,
-    };
-    let rows = match queue.list() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("repro: cannot list queue: {e}");
-            return EXIT_RUNTIME;
-        }
-    };
-    for row in &rows {
-        println!("{:<10} {}", row.state, row.name);
-    }
-    match queue.depth() {
-        Ok(d) => eprintln!(
-            "[repro] {} pending, {} running, {} done",
-            d.pending, d.running, d.done
-        ),
-        Err(e) => eprintln!("repro: cannot read queue depth: {e}"),
-    }
-    0
-}
-
-/// `repro cache [stats|gc]`: result-cache accounting and eviction over
-/// `--checkpoint-dir`, no server required.
+/// `repro cache [stats|gc]`: accounting and eviction over the existing
+/// store named by `--checkpoint-dir` (DESIGN.md §18).
 fn cmd_cache(cli: &Cli) -> i32 {
     let dir = cli
         .checkpoint_dir
         .as_ref()
         .expect("parse_args requires --checkpoint-dir for cache");
-    let cache = match phaselab_core::ResultCache::open(dir) {
-        Ok(c) => c,
+    // parse_args admits `--max-bytes` only with, and requires it for,
+    // `cache gc`, so the budget alone selects the action.
+    let report = CheckpointStore::open(dir).and_then(|store| match cli.max_bytes {
+        Some(budget) => store.gc(budget).map(|r| {
+            format!(
+                "evicted {} entries ({} bytes); {} bytes remain",
+                r.evicted_entries, r.evicted_bytes, r.remaining_bytes
+            )
+        }),
+        None => store.stats().map(|s| {
+            format!(
+                "store              {}\n\
+                 benchmark entries  {:>8}  ({} bytes)\n\
+                 clustering entries {:>8}  ({} bytes)\n\
+                 fingerprints       {:>8}\n\
+                 total              {:>8}  ({} bytes)",
+                dir.display(),
+                s.bench_entries,
+                s.bench_bytes,
+                s.clustering_entries,
+                s.clustering_bytes,
+                s.fingerprints,
+                s.total_entries(),
+                s.total_bytes()
+            )
+        }),
+    });
+    match report {
+        Ok(text) => {
+            println!("{text}");
+            0
+        }
         Err(e) => {
-            eprintln!("repro: cannot open store `{}`: {e}", dir.display());
-            return EXIT_RUNTIME;
+            eprintln!(
+                "repro: cache maintenance on `{}` failed: {e}",
+                dir.display()
+            );
+            EXIT_RUNTIME
         }
-    };
-    match cli.subarg.as_deref().unwrap_or("stats") {
-        "stats" => match cache.stats() {
-            Ok(s) => {
-                println!("store              {}", dir.display());
-                println!(
-                    "benchmark entries  {:>8}  ({} bytes)",
-                    s.bench_entries, s.bench_bytes
-                );
-                println!(
-                    "clustering entries {:>8}  ({} bytes)",
-                    s.clustering_entries, s.clustering_bytes
-                );
-                println!("fingerprints       {:>8}", s.fingerprints);
-                println!("pinned             {:>8}", s.pinned);
-                println!(
-                    "total              {:>8}  ({} bytes)",
-                    s.total_entries(),
-                    s.total_bytes()
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("repro: cache stats failed: {e}");
-                EXIT_RUNTIME
-            }
-        },
-        "gc" => {
-            let budget = cli
-                .max_bytes
-                .expect("parse_args requires --max-bytes for cache gc");
-            match cache.gc(budget) {
-                Ok(rep) => {
-                    println!(
-                        "evicted {} entries ({} bytes); {} pinned kept; {} bytes remain",
-                        rep.evicted_entries,
-                        rep.evicted_bytes,
-                        rep.pinned_skipped,
-                        rep.remaining_bytes
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("repro: cache gc failed: {e}");
-                    EXIT_RUNTIME
-                }
-            }
-        }
-        other => unreachable!("parse_args admits only stats|gc, got `{other}`"),
     }
 }
 
@@ -1398,12 +1093,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut shard: Option<(u32, u32)> = None;
     let mut reduce: Option<u32> = None;
     let mut supervise: Option<u32> = None;
-    let mut queue_dir: Option<std::path::PathBuf> = None;
-    let mut jobs_budget: usize = 2;
-    let mut drain = false;
-    let mut wait = false;
     let mut max_bytes: Option<u64> = None;
-    let mut subarg: Option<String> = None;
+    let mut cache_action: Option<String> = None;
     let mut i = 0;
     let value = |args: &[String], i: usize| -> Result<String, String> {
         args.get(i + 1)
@@ -1572,21 +1263,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 }
                 command = Some("lint".to_string());
             }
-            "--queue-dir" => {
-                let v = value(args, i)?;
-                i += 1;
-                queue_dir = Some(std::path::PathBuf::from(v));
-            }
-            "--jobs" => {
-                let v = value(args, i)?;
-                i += 1;
-                jobs_budget = parse_num("--jobs", &v)?;
-                if jobs_budget == 0 {
-                    return Err("bad value `0` for `--jobs` (must be positive)".to_string());
-                }
-            }
-            "--drain" => drain = true,
-            "--wait" => wait = true,
             "--max-bytes" => {
                 let v = value(args, i)?;
                 i += 1;
@@ -1606,12 +1282,10 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             cmd => {
                 if let Some(first) = &command {
-                    // `submit` and `cache` take one positional of their
-                    // own: the experiment to submit, the cache action.
-                    let takes_subarg = (first == "submit" && EXPERIMENTS.contains(&cmd))
-                        || (first == "cache" && (cmd == "stats" || cmd == "gc"));
-                    if takes_subarg && subarg.is_none() {
-                        subarg = Some(cmd.to_string());
+                    // `cache` takes one positional of its own: the action.
+                    if first == "cache" && (cmd == "stats" || cmd == "gc") && cache_action.is_none()
+                    {
+                        cache_action = Some(cmd.to_string());
                     } else if first == "--verify-only" || first == "lint" {
                         return Err(format!(
                             "`{first}` cannot be combined with experiment `{cmd}`"
@@ -1621,7 +1295,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                             "unexpected argument `{cmd}` (experiment `{first}` already given)"
                         ));
                     }
-                } else if SERVICE_COMMANDS.contains(&cmd) || EXPERIMENTS.contains(&cmd) {
+                } else if cmd == "cache" || EXPERIMENTS.contains(&cmd) {
                     command = Some(cmd.to_string());
                 } else {
                     return Err(format!("unknown experiment `{cmd}`"));
@@ -1720,23 +1394,27 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 .to_string(),
         );
     }
-    if SERVICE_COMMANDS.contains(&command.as_str()) {
-        if matches!(command.as_str(), "serve" | "submit" | "jobs") && queue_dir.is_none() {
+    let gc = command == "cache" && cache_action.as_deref() == Some("gc");
+    if max_bytes.is_some() && !gc {
+        return Err("`--max-bytes` is only meaningful with `cache gc`".to_string());
+    }
+    if command == "cache" {
+        let Some(dir) = &checkpoint_dir else {
+            return Err("`cache` requires `--checkpoint-dir` (the store to account)".to_string());
+        };
+        if !dir.is_dir() {
             return Err(format!(
-                "`{command}` requires `--queue-dir` (the spool directory)"
+                "`cache` given but checkpoint dir `{}` does not exist",
+                dir.display()
             ));
         }
-        if command == "cache" && checkpoint_dir.is_none() {
-            return Err("`cache` requires `--checkpoint-dir` (the store to account)".to_string());
-        }
-        if command == "cache" && subarg.as_deref() == Some("gc") && max_bytes.is_none() {
+        if gc && max_bytes.is_none() {
             return Err("`cache gc` requires `--max-bytes` (the eviction budget)".to_string());
         }
         if supervise.is_some() || reduce.is_some() || streaming || resume {
-            return Err(format!(
-                "`{command}` cannot be combined with study-execution flags \
-                 (--supervise/--reduce/--streaming/--resume); pass study shape flags only"
-            ));
+            return Err("`cache` cannot be combined with study-execution flags \
+                 (--supervise/--reduce/--streaming/--resume)"
+                .to_string());
         }
     }
     Ok(Cli {
@@ -1749,12 +1427,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         shard: shard.map(|(idx, _)| idx),
         supervise,
         json,
-        queue_dir,
-        jobs_budget,
-        drain,
-        wait,
         max_bytes,
-        subarg,
     })
 }
 

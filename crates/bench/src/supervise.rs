@@ -117,9 +117,8 @@ fn backoff(seed: u64, shard: u32, attempt: u32) -> Duration {
 
 /// Sends the polite signal first (SIGTERM on unix, so the worker can
 /// flush checkpoints and release its lease), escalating to a hard kill
-/// if unavailable. Public because the serve loop's job runner retires
-/// timed-out and cancelled study children the same way.
-pub fn terminate(child: &mut Child) {
+/// if unavailable.
+fn terminate(child: &mut Child) {
     #[cfg(unix)]
     {
         let delivered = Command::new("kill")

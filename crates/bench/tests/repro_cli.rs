@@ -658,3 +658,107 @@ fn supervised_chaos_run_reproduces_the_single_process_report() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn cache_on_a_missing_store_is_a_usage_error() {
+    let dir =
+        std::env::temp_dir().join(format!("phaselab-no-such-cache-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for action in [&["stats"][..], &["gc", "--max-bytes", "0"][..]] {
+        let mut args = vec!["--checkpoint-dir", dir.to_str().unwrap(), "cache"];
+        args.extend(action);
+        let out = repro(&args);
+        assert_eq!(out.status.code(), Some(2), "{action:?}");
+        let line = stderr_line(&out);
+        assert!(line.contains("does not exist"), "{line}");
+        assert!(!dir.exists(), "a mistyped store must not be created");
+    }
+}
+
+#[test]
+fn max_bytes_outside_cache_gc_is_a_usage_error() {
+    let dir = std::env::temp_dir();
+    for args in [
+        &["--max-bytes", "5", "table1"][..],
+        &[
+            "--checkpoint-dir",
+            dir.to_str().unwrap(),
+            "--max-bytes",
+            "5",
+            "cache",
+            "stats",
+        ][..],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let line = stderr_line(&out);
+        assert!(
+            line.contains("`--max-bytes` is only meaningful with `cache gc`"),
+            "{line}"
+        );
+    }
+}
+
+/// Reads one count column of `repro cache stats` output.
+fn stats_count(stdout: &[u8], label: &str) -> u64 {
+    let text = String::from_utf8_lossy(stdout);
+    let line = text
+        .lines()
+        .find(|l| l.starts_with(label))
+        .unwrap_or_else(|| panic!("no `{label}` line in:\n{text}"));
+    line[label.len()..]
+        .split_whitespace()
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no count in `{line}`"))
+}
+
+/// `cache stats` accounts a filled store, `cache gc --max-bytes 0`
+/// empties it, and a rerun recomputes a byte-identical report.
+#[test]
+fn cache_stats_and_gc_round_trip_a_filled_store() {
+    let dir = std::env::temp_dir().join(format!("phaselab-cache-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.to_str().unwrap();
+    let study = [
+        "--scale",
+        "tiny",
+        "--suites",
+        "BMW",
+        "--checkpoint-dir",
+        store,
+        "table3",
+    ];
+    let first = repro(&study);
+    assert_eq!(
+        first.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    let stats = repro(&["--checkpoint-dir", store, "cache", "stats"]);
+    assert_eq!(stats.status.code(), Some(0));
+    assert!(stats_count(&stats.stdout, "benchmark entries") > 0);
+    assert!(stats_count(&stats.stdout, "clustering entries") > 0);
+    let total = stats_count(&stats.stdout, "total");
+
+    let gc = repro(&["--checkpoint-dir", store, "cache", "gc", "--max-bytes", "0"]);
+    assert_eq!(gc.status.code(), Some(0));
+    let report = String::from_utf8_lossy(&gc.stdout);
+    assert!(
+        report.starts_with(&format!("evicted {total} entries")),
+        "{report}"
+    );
+    let stats = repro(&["--checkpoint-dir", store, "cache"]);
+    assert_eq!(stats.status.code(), Some(0));
+    assert_eq!(stats_count(&stats.stdout, "total"), 0);
+
+    let rerun = repro(&study);
+    assert_eq!(rerun.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&first.stdout),
+        String::from_utf8_lossy(&rerun.stdout),
+        "a recomputed report must be byte-identical to the first"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,27 +1,20 @@
-//! The checkpoint store, promoted to a managed result cache: size
-//! accounting, LRU size-budget eviction, and pinning of in-flight
-//! entries.
+//! Store maintenance: size accounting and LRU size-budget eviction,
+//! as methods on [`CheckpointStore`].
 //!
-//! A [`CheckpointStore`] is already content-addressed — entries are
-//! keyed by configuration fingerprint plus an integrity-checked frame —
-//! and idempotent, so any entry can be deleted at any time and the
-//! pipeline recomputes it. That makes eviction *safe* but not *free*:
-//! evicting an entry a running study is about to read costs a
-//! recharacterization. [`ResultCache`] layers the missing policy on
-//! top:
+//! A [`CheckpointStore`] is content-addressed — entries are keyed by
+//! configuration fingerprint plus an integrity-checked frame — and
+//! idempotent, so any entry can be deleted at any time and the pipeline
+//! recomputes it on the next miss. That makes eviction *safe* but not
+//! *free*: evicting an entry a running study is about to read costs a
+//! recharacterization. Two methods supply the policy:
 //!
-//! * **Accounting** ([`ResultCache::stats`]): bytes and entry counts by
-//!   kind (benchmark characterizations vs k-means restarts), walked
-//!   from the directory layout, no index file to rot.
-//! * **Eviction** ([`ResultCache::gc`]): delete least-recently-used
+//! * **Accounting** ([`CheckpointStore::stats`]): bytes and entry
+//!   counts by kind (benchmark characterizations vs k-means restarts),
+//!   walked from the directory layout, no index file to rot.
+//! * **Eviction** ([`CheckpointStore::gc`]): delete least-recently-used
 //!   entries until the store fits a byte budget. Recency is the entry
 //!   file's mtime, which [`CheckpointStore::load_benchmark`] bumps on
 //!   every hit, so a warm entry survives a cold one of the same age.
-//! * **Pinning** ([`ResultCache::pin`]): a job server (or any caller)
-//!   pins a characterization fingerprint while a study is in flight;
-//!   `gc` never evicts pinned fingerprints. Pins record the owning pid
-//!   and are broken automatically once that process is gone, so a
-//!   crashed owner cannot pin the cache full forever.
 //!
 //! Concurrent `gc` passes from different processes are serialized with
 //! the same `O_EXCL` mutation-lock protocol the lease module uses
@@ -33,17 +26,18 @@
 //! [`characterization_fingerprint`](crate::characterization_fingerprint)),
 //! so two studies differing only in those share every benchmark entry.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::SystemTime;
 
 use crate::checkpoint::CheckpointStore;
 use crate::lease;
 
-/// What kind of payload a cache entry holds.
+/// What kind of payload a store entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EntryKind {
+enum EntryKind {
     /// One benchmark's characterization (`c<fp>/bench-*.ckpt`).
     Benchmark,
     /// One completed k-means restart (`k<fp>/restart-*.ckpt`).
@@ -73,8 +67,6 @@ pub struct CacheStats {
     pub clustering_entries: usize,
     /// Distinct fingerprints with at least one entry.
     pub fingerprints: usize,
-    /// Fingerprints currently pinned by a live process.
-    pub pinned: usize,
 }
 
 impl CacheStats {
@@ -89,108 +81,18 @@ impl CacheStats {
     }
 }
 
-/// What one [`ResultCache::gc`] pass did.
+/// What one [`CheckpointStore::gc`] pass did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcReport {
     /// Entries deleted.
     pub evicted_entries: usize,
     /// Bytes reclaimed.
     pub evicted_bytes: u64,
-    /// Entries spared because their fingerprint was pinned.
-    pub pinned_skipped: usize,
     /// Evictable bytes remaining after the pass.
     pub remaining_bytes: u64,
 }
 
-/// A held pin: the fingerprint stays eviction-proof until this guard
-/// drops (or the owning process dies, whichever comes first).
-#[derive(Debug)]
-pub struct PinGuard {
-    path: PathBuf,
-}
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// Policy layer over a [`CheckpointStore`]: accounting, LRU eviction to
-/// a byte budget, and in-flight pinning (see the [module docs](self)).
-#[derive(Debug, Clone)]
-pub struct ResultCache {
-    store: CheckpointStore,
-}
-
-impl ResultCache {
-    /// Opens (creating if needed) the store directory and wraps it.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`CheckpointStore::open`] produces.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Ok(ResultCache {
-            store: CheckpointStore::open(dir)?,
-        })
-    }
-
-    /// Wraps an already-open store.
-    pub fn new(store: CheckpointStore) -> Self {
-        ResultCache { store }
-    }
-
-    /// The underlying store (for the pipeline entry points).
-    pub fn store(&self) -> &CheckpointStore {
-        &self.store
-    }
-
-    fn pins_dir(&self) -> PathBuf {
-        self.store.dir().join("pins")
-    }
-
-    /// Pins `fingerprint` against eviction for the guard's lifetime.
-    /// Multiple processes may pin the same fingerprint; each holds its
-    /// own pin file.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the pin file cannot be created.
-    pub fn pin(&self, fingerprint: u64) -> io::Result<PinGuard> {
-        let dir = self.pins_dir();
-        fs::create_dir_all(&dir)?;
-        let pid = std::process::id();
-        let path = dir.join(format!("p{fingerprint:016x}-{pid}.pin"));
-        fs::write(&path, format!("{pid}\n"))?;
-        Ok(PinGuard { path })
-    }
-
-    /// Fingerprints pinned by a live process. Pins whose owner is gone
-    /// are broken (deleted) as they are encountered.
-    pub fn pinned_fingerprints(&self) -> Vec<u64> {
-        let mut pinned = Vec::new();
-        let Ok(entries) = fs::read_dir(self.pins_dir()) else {
-            return pinned;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some((fp, pid)) = parse_pin_name(name) else {
-                continue;
-            };
-            if pid_alive(pid) {
-                if !pinned.contains(&fp) {
-                    pinned.push(fp);
-                }
-            } else {
-                // The owner died without dropping its guard; break the
-                // pin so a crashed job cannot pin the cache forever.
-                let _ = fs::remove_file(entry.path());
-            }
-        }
-        pinned.sort_unstable();
-        pinned
-    }
-
+impl CheckpointStore {
     /// Walks the store directory and tallies entries by kind.
     ///
     /// # Errors
@@ -199,8 +101,14 @@ impl ResultCache {
     /// individually unreadable entries are skipped.
     pub fn stats(&self) -> io::Result<CacheStats> {
         let entries = self.entries()?;
-        let mut stats = CacheStats::default();
-        let mut fps: Vec<u64> = Vec::new();
+        let mut stats = CacheStats {
+            fingerprints: entries
+                .iter()
+                .map(|e| e.fingerprint)
+                .collect::<BTreeSet<_>>()
+                .len(),
+            ..CacheStats::default()
+        };
         for e in &entries {
             match e.kind {
                 EntryKind::Benchmark => {
@@ -212,27 +120,21 @@ impl ResultCache {
                     stats.clustering_bytes += e.bytes;
                 }
             }
-            if !fps.contains(&e.fingerprint) {
-                fps.push(e.fingerprint);
-            }
         }
-        stats.fingerprints = fps.len();
-        stats.pinned = self.pinned_fingerprints().len();
         Ok(stats)
     }
 
     /// Evicts least-recently-used entries until the evictable bytes fit
-    /// `max_bytes`, never touching pinned fingerprints. Concurrent `gc`
-    /// passes (any process) are serialized by the store's mutation
-    /// lock; a pass that cannot get the lock within the lease TTL
-    /// returns `WouldBlock` rather than racing.
+    /// `max_bytes`. Concurrent `gc` passes (any process) are serialized
+    /// by the store's mutation lock; a pass that cannot get the lock
+    /// within the lease TTL returns `WouldBlock` rather than racing.
     ///
     /// # Errors
     ///
     /// `WouldBlock` when another process holds the gc lock past the
     /// TTL; otherwise the I/O error that stopped the walk.
     pub fn gc(&self, max_bytes: u64) -> io::Result<GcReport> {
-        let lock_name = self.store.dir().join("cache-gc");
+        let lock_name = self.dir().join("cache-gc");
         lease::with_mutation_lock(&lock_name, lease::default_ttl(), || {
             self.gc_locked(max_bytes)
         })?
@@ -242,19 +144,11 @@ impl ResultCache {
         let mut entries = self.entries()?;
         // Oldest first; ties break by path so two walkers agree.
         entries.sort_by(|a, b| a.mtime.cmp(&b.mtime).then_with(|| a.path.cmp(&b.path)));
-        let pinned = self.pinned_fingerprints();
         let mut live: u64 = entries.iter().map(|e| e.bytes).sum();
-        let mut report = GcReport {
-            remaining_bytes: live,
-            ..GcReport::default()
-        };
+        let mut report = GcReport::default();
         for e in &entries {
             if live <= max_bytes {
                 break;
-            }
-            if pinned.binary_search(&e.fingerprint).is_ok() {
-                report.pinned_skipped += 1;
-                continue;
             }
             match fs::remove_file(&e.path) {
                 Ok(()) => {
@@ -277,7 +171,6 @@ impl ResultCache {
         if phaselab_obs::enabled() {
             use phaselab_obs::Class::Timing;
             phaselab_obs::counter_add("cache.evicted", Timing, report.evicted_entries as u64);
-            phaselab_obs::counter_add("cache.pinned", Timing, report.pinned_skipped as u64);
             phaselab_obs::gauge_set("cache.bytes", Timing, report.remaining_bytes as f64);
             phaselab_obs::event("cache", "gc");
         }
@@ -286,11 +179,11 @@ impl ResultCache {
 
     /// Enumerates every evictable entry under the store root: one
     /// directory level of `c<fp>`/`k<fp>` groups, `.ckpt` files within.
-    /// Anything else (leases, pins, temporaries) is not a cache entry
+    /// Anything else (leases, locks, temporaries) is not a store entry
     /// and never eviction fodder.
     fn entries(&self) -> io::Result<Vec<Entry>> {
         let mut out = Vec::new();
-        for group in fs::read_dir(self.store.dir())? {
+        for group in fs::read_dir(self.dir())? {
             let group = group?;
             let name = group.file_name();
             let Some(name) = name.to_str() else { continue };
@@ -333,27 +226,6 @@ fn parse_group_name(name: &str) -> Option<(EntryKind, u64)> {
     u64::from_str_radix(hex, 16).ok().map(|fp| (kind, fp))
 }
 
-/// Parses a pin file name (`p<16 hex>-<pid>.pin`).
-fn parse_pin_name(name: &str) -> Option<(u64, u32)> {
-    let rest = name.strip_prefix('p')?.strip_suffix(".pin")?;
-    let (hex, pid) = rest.split_once('-')?;
-    if hex.len() != 16 {
-        return None;
-    }
-    Some((u64::from_str_radix(hex, 16).ok()?, pid.parse().ok()?))
-}
-
-/// Whether a process with this pid is alive. On Linux `/proc` answers
-/// directly; elsewhere we assume alive (pins then only break when
-/// dropped, which is merely conservative).
-fn pid_alive(pid: u32) -> bool {
-    if cfg!(target_os = "linux") {
-        Path::new("/proc").join(pid.to_string()).exists()
-    } else {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,11 +234,11 @@ mod tests {
     use phaselab_mica::{FeatureVector, NUM_FEATURES};
     use phaselab_workloads::Suite;
 
-    fn temp_cache(tag: &str) -> ResultCache {
+    fn temp_store(tag: &str) -> CheckpointStore {
         let dir =
             std::env::temp_dir().join(format!("phaselab-cache-unit-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        ResultCache::open(&dir).expect("temp cache")
+        CheckpointStore::open(&dir).expect("temp store")
     }
 
     fn outcome(salt: f64) -> BenchOutcome {
@@ -384,21 +256,19 @@ mod tests {
         ["alpha", "beta", "gamma", "delta"]
     }
 
-    fn fill(cache: &ResultCache, fp: u64) {
+    fn fill(store: &CheckpointStore, fp: u64) {
         for (i, name) in names().iter().enumerate() {
-            cache
-                .store()
-                .store_benchmark(fp, Suite::Bmw, name, &outcome(i as f64));
+            store.store_benchmark(fp, Suite::Bmw, name, &outcome(i as f64));
         }
     }
 
     #[test]
     fn stats_count_entries_and_bytes_by_kind() {
-        let cache = temp_cache("stats");
-        let empty = cache.stats().expect("stats");
+        let store = temp_store("stats");
+        let empty = store.stats().expect("stats");
         assert_eq!(empty, CacheStats::default());
-        fill(&cache, 0xAB);
-        let stats = cache.stats().expect("stats");
+        fill(&store, 0xAB);
+        let stats = store.stats().expect("stats");
         assert_eq!(stats.bench_entries, 4);
         assert_eq!(stats.clustering_entries, 0);
         assert!(stats.bench_bytes > 0);
@@ -409,13 +279,13 @@ mod tests {
 
     #[test]
     fn gc_evicts_oldest_first_down_to_the_budget() {
-        let cache = temp_cache("gc");
-        fill(&cache, 0xCD);
-        let entries = cache.entries().expect("entries");
+        let store = temp_store("gc");
+        fill(&store, 0xCD);
+        let entries = store.entries().expect("entries");
         assert_eq!(entries.len(), 4);
         // Age the entries deterministically: alpha oldest, delta newest.
         for (i, name) in names().iter().enumerate() {
-            let path = cache.store().benchmark_path(0xCD, Suite::Bmw, name);
+            let path = store.benchmark_path(0xCD, Suite::Bmw, name);
             let t = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1000 + i as u64);
             let f = fs::File::options().append(true).open(&path).expect("open");
             f.set_times(fs::FileTimes::new().set_modified(t))
@@ -424,85 +294,31 @@ mod tests {
         let per_entry = entries[0].bytes;
         let total = per_entry * 4;
         // Budget for two entries: the two oldest must go.
-        let report = cache.gc(total - 2 * per_entry).expect("gc");
+        let report = store.gc(total - 2 * per_entry).expect("gc");
         assert_eq!(report.evicted_entries, 2);
         assert_eq!(report.evicted_bytes, 2 * per_entry);
         assert_eq!(report.remaining_bytes, 2 * per_entry);
-        assert!(cache
-            .store()
-            .load_benchmark(0xCD, Suite::Bmw, "alpha")
-            .is_none());
-        assert!(cache
-            .store()
-            .load_benchmark(0xCD, Suite::Bmw, "beta")
-            .is_none());
-        assert!(cache
-            .store()
-            .load_benchmark(0xCD, Suite::Bmw, "gamma")
-            .is_some());
-        assert!(cache
-            .store()
-            .load_benchmark(0xCD, Suite::Bmw, "delta")
-            .is_some());
+        assert!(store.load_benchmark(0xCD, Suite::Bmw, "alpha").is_none());
+        assert!(store.load_benchmark(0xCD, Suite::Bmw, "beta").is_none());
+        assert!(store.load_benchmark(0xCD, Suite::Bmw, "gamma").is_some());
+        assert!(store.load_benchmark(0xCD, Suite::Bmw, "delta").is_some());
     }
 
     #[test]
     fn gc_to_zero_clears_the_store_and_its_group_dirs() {
-        let cache = temp_cache("gc-zero");
-        fill(&cache, 0x11);
-        fill(&cache, 0x22);
-        let report = cache.gc(0).expect("gc");
+        let store = temp_store("gc-zero");
+        fill(&store, 0x11);
+        fill(&store, 0x22);
+        let report = store.gc(0).expect("gc");
         assert_eq!(report.evicted_entries, 8);
         assert_eq!(report.remaining_bytes, 0);
-        assert!(!cache.store().dir().join(format!("c{:016x}", 0x11)).exists());
-        let stats = cache.stats().expect("stats");
+        assert!(!store.dir().join(format!("c{:016x}", 0x11)).exists());
+        let stats = store.stats().expect("stats");
         assert_eq!(stats.total_entries(), 0);
     }
 
     #[test]
-    fn pinned_fingerprints_survive_gc() {
-        let cache = temp_cache("pin");
-        fill(&cache, 0x33);
-        fill(&cache, 0x44);
-        let pin = cache.pin(0x33).expect("pin");
-        let report = cache.gc(0).expect("gc");
-        assert_eq!(report.evicted_entries, 4, "only the unpinned group goes");
-        assert_eq!(report.pinned_skipped, 4);
-        assert!(cache
-            .store()
-            .load_benchmark(0x33, Suite::Bmw, "alpha")
-            .is_some());
-        assert!(cache
-            .store()
-            .load_benchmark(0x44, Suite::Bmw, "alpha")
-            .is_none());
-        drop(pin);
-        let report = cache.gc(0).expect("gc after unpin");
-        assert_eq!(report.evicted_entries, 4);
-        assert_eq!(cache.stats().expect("stats").total_entries(), 0);
-    }
-
-    #[test]
-    fn dead_owner_pins_are_broken() {
-        let cache = temp_cache("stale-pin");
-        fill(&cache, 0x55);
-        // Forge a pin owned by a pid that cannot be alive.
-        let dir = cache.pins_dir();
-        fs::create_dir_all(&dir).expect("pins dir");
-        fs::write(
-            dir.join(format!("p{:016x}-{}.pin", 0x55, u32::MAX - 1)),
-            "x",
-        )
-        .expect("pin");
-        if cfg!(target_os = "linux") {
-            assert!(cache.pinned_fingerprints().is_empty());
-            let report = cache.gc(0).expect("gc");
-            assert_eq!(report.evicted_entries, 4, "stale pin must not protect");
-        }
-    }
-
-    #[test]
-    fn group_and_pin_names_parse_strictly() {
+    fn group_names_parse_strictly() {
         assert_eq!(
             parse_group_name("c00000000000000ab"),
             Some((EntryKind::Benchmark, 0xAB))
@@ -514,8 +330,6 @@ mod tests {
         assert_eq!(parse_group_name("x0000000000000001"), None);
         assert_eq!(parse_group_name("c123"), None);
         assert_eq!(parse_group_name("leases"), None);
-        assert_eq!(parse_pin_name("p00000000000000ab-42.pin"), Some((0xAB, 42)));
-        assert_eq!(parse_pin_name("p123-42.pin"), None);
-        assert_eq!(parse_pin_name("garbage"), None);
+        assert_eq!(parse_group_name("pins"), None);
     }
 }

@@ -189,7 +189,7 @@ pub fn characterize_benchmark(
 /// [`characterize_benchmark`] under the runaway watchdog and cooperative
 /// cancellation.
 ///
-/// Execution runs in [`WATCHDOG_SLICE`]-instruction slices; between
+/// Execution runs in `WATCHDOG_SLICE` (2^20)-instruction slices; between
 /// slices the cancel token is polled and the per-benchmark budget
 /// (`cfg.max_inst_per_bench`, spanning all inputs) is enforced. VM
 /// pause/resume is exact, so a watched characterization is bit-identical

@@ -785,8 +785,10 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-/// A directory of checkpoint files (see the [module docs](self) for the
-/// format, fingerprinting, and failure policy).
+/// A directory of checkpoint files: one CRC-checked, versioned frame per
+/// benchmark characterization or k-means restart, grouped by
+/// configuration fingerprint. Loads never fail a study: an unusable file
+/// is skipped with a warning and its artifact recomputed.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -984,7 +986,7 @@ fn record_lookup(hit: bool) {
 }
 
 /// Best-effort LRU bookkeeping: bumps the entry's modification time so
-/// size-budget eviction (`ResultCache::gc`) evicts least-recently-*used*
+/// size-budget eviction ([`CheckpointStore::gc`]) evicts least-recently-*used*
 /// entries, not merely least-recently-written ones. Failure is ignored —
 /// recency decay only makes eviction slightly less fair.
 fn touch(path: &Path) {

@@ -1,12 +1,13 @@
 //! Deterministic fault injection for the checkpoint store's filesystem
 //! I/O.
 //!
-//! Every recovery path in [`checkpoint`](crate::checkpoint) — torn
-//! frames, short reads, transient `EINTR`s, full disks, failed renames —
-//! exists because real filesystems misbehave. This module makes those
-//! misbehaviors *injectable on purpose*: a seeded [`FaultPlan`] names
-//! per-operation probabilities for each fault kind, and once armed
-//! (programmatically via [`arm`], or from the `PHASELAB_FAULTS`
+//! Every recovery path in [`CheckpointStore`](crate::CheckpointStore) —
+//! torn frames, short reads, transient `EINTR`s, full disks, failed
+//! renames — exists because real filesystems misbehave. This module
+//! makes those misbehaviors *injectable on purpose*: a seeded
+//! [`FaultPlan`](crate::faults::FaultPlan) names per-operation
+//! probabilities for each fault kind, and once armed (programmatically
+//! via [`arm`](crate::faults::arm), or from the `PHASELAB_FAULTS`
 //! environment variable) the store's reads, writes, and renames are
 //! routed through the injector. Chaos tests then exercise exactly the
 //! code paths that mangle-scripts only hit by luck.

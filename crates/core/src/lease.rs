@@ -1,10 +1,10 @@
 //! Advisory per-shard leases over a shared checkpoint store.
 //!
-//! Concurrent shard workers (and the future `phaselab serve`) share one
-//! store directory. Atomic renames already make *individual* checkpoint
-//! writes safe; leases add the missing coarse coordination: at most one
-//! live worker per shard slot, detection of dead workers, and an
-//! ordered hand-off when a slot changes hands.
+//! Concurrent shard workers share one store directory. Atomic renames
+//! already make *individual* checkpoint writes safe; leases add the
+//! missing coarse coordination: at most one live worker per shard slot,
+//! detection of dead workers, and an ordered hand-off when a slot
+//! changes hands.
 //!
 //! # Protocol
 //!

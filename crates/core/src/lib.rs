@@ -47,8 +47,8 @@
 #![warn(missing_docs)]
 
 mod analysis;
-/// Size accounting, LRU eviction, and pinning over the checkpoint
-/// store.
+/// Store maintenance: size accounting and LRU eviction over the
+/// checkpoint store.
 pub mod cache;
 mod characterize;
 mod checkpoint;
@@ -69,7 +69,7 @@ pub use analysis::{
     benchmark_stats, coverage, diversity, uniqueness, BenchmarkStats, SuiteCoverage, SuiteCurve,
     SuiteUniqueness,
 };
-pub use cache::{CacheStats, GcReport, PinGuard, ResultCache};
+pub use cache::{CacheStats, GcReport};
 pub use characterize::{
     analyze_benchmark, characterize_benchmark, characterize_benchmark_watched,
     characterize_program, characterize_program_with_engine, BenchCharacterization, BenchFailure,
