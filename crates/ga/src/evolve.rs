@@ -9,6 +9,7 @@
 use phaselab_par::{effective_threads, parallel_map};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::collections::HashSet;
 
 /// Configuration for [`select_features`].
 #[derive(Debug, Clone, PartialEq)]
@@ -198,6 +199,12 @@ pub fn select_features(
         .collect();
     let init_scores = parallel_map(&init_masks, threads, |g| fitness(g));
     evaluations += init_masks.len();
+    // Distinct masks scored, for observability only: how much a fitness
+    // memo could save.
+    let mut distinct = phaselab_obs::enabled().then(HashSet::new);
+    if let Some(seen) = distinct.as_mut() {
+        seen.extend(init_masks.iter().cloned());
+    }
     let mut scored = init_masks.into_iter().zip(init_scores);
     let mut pops: Vec<Vec<(Vec<bool>, f64)>> = (0..cfg.populations)
         .map(|_| scored.by_ref().take(cfg.population_size).collect())
@@ -246,6 +253,9 @@ pub fn select_features(
         // the populations in breeding order.
         let brood_scores = parallel_map(&brood, threads, |g| fitness(g));
         evaluations += brood.len();
+        if let Some(seen) = distinct.as_mut() {
+            seen.extend(brood.iter().cloned());
+        }
         let mut scored_children = brood.into_iter().zip(brood_scores);
         for (pop, elite) in pops.iter_mut().zip(elites) {
             let mut next = vec![elite];
@@ -307,6 +317,8 @@ pub fn select_features(
         use phaselab_obs::Class::Structural;
         phaselab_obs::counter_add("ga.generations", Structural, generation as u64);
         phaselab_obs::counter_add("ga.evaluations", Structural, evaluations as u64);
+        let distinct = distinct.map_or(0, |seen| seen.len());
+        phaselab_obs::counter_add("ga.evaluations.distinct", Structural, distinct as u64);
     }
 
     GaResult {

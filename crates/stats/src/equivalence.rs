@@ -8,15 +8,18 @@
 //! recomputes `x_j − μ_j` for every cell, and a Pearson coefficient that
 //! centers both samples in one loop — and checks that the fast kernels
 //! produce bit-identical results on random inputs, including constant
-//! and duplicated columns.
+//! and duplicated columns. k-means keeps its unpruned loop as the public
+//! [`kmeans_reference`]; the bounded, neighbour-list [`kmeans`] must
+//! match it on integer grids, where duplicate rows, equal distances,
+//! coincident centroids and empty clusters are the rule.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use crate::{
-    jacobi_eigen, normalize_columns, pearson, CenteredSample, ColumnStats, EigenDecomposition,
-    Matrix, Pca, RunningCovariance,
+    jacobi_eigen, kmeans, kmeans_reference, normalize_columns, pearson, CenteredSample,
+    ColumnStats, EigenDecomposition, KmeansConfig, Matrix, Pca, RunningCovariance,
 };
 
 // ---------------------------------------------------------------------
@@ -248,6 +251,19 @@ fn same_matrix(a: &Matrix, b: &Matrix) -> bool {
             .all(|(x, y)| same_bits(x, y))
 }
 
+/// `rows` points on an integer grid: each of `cols` columns takes one
+/// of 2–5 levels, so rows repeat and distances tie.
+fn integer_grid(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
+    let levels: Vec<u32> = (0..cols).map(|_| rng.random_range(2..6u32)).collect();
+    let mut m = Matrix::zeros(rows, cols);
+    for r in 0..rows {
+        for (c, &l) in levels.iter().enumerate() {
+            m.set(r, c, f64::from(rng.random_range(0..l)));
+        }
+    }
+    m
+}
+
 fn check_jacobi(m: &Matrix) -> Result<(), String> {
     let (fast, slow) = (jacobi_eigen(m), reference_jacobi(m));
     prop_assert!(
@@ -334,6 +350,30 @@ proptest! {
             let want = reference_pearson(a, b).to_bits();
             prop_assert_eq!(pearson(a, b).to_bits(), want);
             prop_assert_eq!(CenteredSample::new(a).pearson(b).to_bits(), want);
+        }
+    }
+
+    #[test]
+    fn equivalence_kmeans_ties(
+        seed in 0u64..u64::MAX,
+        cols in 1usize..5,
+        n in 5usize..200,
+        k in 1usize..65,
+        restarts in 1usize..3,
+    ) {
+        // k spans both complete neighbour lists (k ≤ NEAR + 1) and lists
+        // that can run out and fall back to the full scan.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = integer_grid(&mut rng, n, cols);
+        let cfg = KmeansConfig::new(k.min(n)).with_restarts(restarts).with_seed(seed);
+        let want = kmeans_reference(&m, &cfg);
+        for threads in [1usize, 2, 4] {
+            let got = kmeans(&m, &cfg.clone().with_threads(threads));
+            prop_assert_eq!(&got.assignments, &want.assignments, "threads = {}", threads);
+            prop_assert_eq!(&got.sizes, &want.sizes, "threads = {}", threads);
+            prop_assert!(same_matrix(&got.centroids, &want.centroids), "centroids differ at threads = {}", threads);
+            prop_assert_eq!(got.inertia.to_bits(), want.inertia.to_bits(), "threads = {}", threads);
+            prop_assert_eq!(got.bic.to_bits(), want.bic.to_bits(), "threads = {}", threads);
         }
     }
 }

@@ -2,11 +2,15 @@
 //!
 //! The assignment step — the O(n·k·d) hot path of the whole study — uses
 //! Hamerly-style distance bounds to skip points whose assignment provably
-//! cannot change, chunk-parallel assignment passes, and incremental
-//! centroid sums. k-means++ seeding prunes its min-distance updates with
-//! a triangle-inequality certificate and tracks per-point bounds as it
-//! goes, so the initial assignment pass costs nothing. Restarts run in
-//! parallel with per-restart seeds derived
+//! cannot change. A point whose bounds fail scans its incumbent's sorted
+//! neighbour list (each centroid's `NEAR` nearest other centroids) and
+//! stops as soon as the triangle inequality rules every remaining
+//! centroid out, falling back to the full scan only when the list runs
+//! out first. Assignment passes are chunk-parallel and centroid sums are
+//! incremental. k-means++ seeding prunes its min-distance updates with a
+//! triangle-inequality certificate and tracks each point's nearest seed
+//! as it goes, so the initial assignment pass costs nothing. Restarts run
+//! in parallel with per-restart seeds derived
 //! deterministically from the configured seed, so [`kmeans`] returns
 //! **bit-identical results for a fixed seed regardless of thread count**.
 //! A naive reference implementation ([`kmeans_reference`]) sharing the
@@ -240,9 +244,19 @@ fn flush_restart_stats(restart: usize, clustering: &Clustering, stats: &RestartS
     use phaselab_obs::Class::Structural;
     phaselab_obs::counter_add("kmeans.restarts", Structural, 1);
     phaselab_obs::counter_add("kmeans.iterations", Structural, stats.iterations);
-    phaselab_obs::counter_add("kmeans.points.pruned", Structural, stats.pruned);
-    phaselab_obs::counter_add("kmeans.points.tightened", Structural, stats.tightened);
-    phaselab_obs::counter_add("kmeans.points.scanned", Structural, stats.scanned);
+    phaselab_obs::counter_add("kmeans.points.pruned", Structural, stats.points.pruned);
+    phaselab_obs::counter_add(
+        "kmeans.points.tightened",
+        Structural,
+        stats.points.tightened,
+    );
+    phaselab_obs::counter_add("kmeans.points.scanned", Structural, stats.points.scanned);
+    phaselab_obs::counter_add(
+        "kmeans.points.full_scans",
+        Structural,
+        stats.points.full_scans,
+    );
+    phaselab_obs::counter_add("kmeans.distances", Structural, stats.points.distances);
     phaselab_obs::counter_add("kmeans.moves", Structural, stats.moves);
     let tag = format!("kmeans.restart[{restart:02}]");
     phaselab_obs::gauge_set(
@@ -251,8 +265,14 @@ fn flush_restart_stats(restart: usize, clustering: &Clustering, stats: &RestartS
         stats.iterations as f64,
     );
     phaselab_obs::gauge_set(&format!("{tag}.bic"), Structural, clustering.bic);
-    let considered = stats.pruned + stats.tightened + stats.scanned;
-    let skipped = stats.pruned + stats.tightened;
+    let PassTally {
+        pruned,
+        tightened,
+        scanned,
+        ..
+    } = stats.points;
+    let considered = pruned + tightened + scanned;
+    let skipped = pruned + tightened;
     let ratio = if considered == 0 {
         0.0
     } else {
@@ -331,12 +351,21 @@ const CHUNK: usize = 512;
 /// pruned point is always one the exact scan would have left in place.
 const BOUND_SLACK: f64 = 1.0 + 1e-12;
 
+/// Length of each centroid's sorted neighbour list (see
+/// [`NeighbourTable`]). Scans that fail Hamerly's certificate typically
+/// stop after two or three entries; a list that runs out first falls
+/// back to the full scan, so this trades table memory (O(k·NEAR) per
+/// restart) against fallbacks, never against exactness.
+const NEAR: usize = 32;
+
 /// Per-point scan state of one restart.
 struct PointBounds {
     assignments: Vec<usize>,
     /// Upper bound on the distance to the assigned centroid.
     upper: Vec<f64>,
-    /// Lower bound on the distance to every other centroid.
+    /// Lower bound on the distance to every other centroid. Only a
+    /// bound: seeding starts it at 0; a scan sets it to the exact
+    /// second-nearest distance.
     lower: Vec<f64>,
 }
 
@@ -346,19 +375,14 @@ struct PointBounds {
 struct RestartStats {
     /// Lloyd iterations executed (assignment passes after the initial).
     iterations: u64,
-    /// Point visits resolved by the stale-bound certificate (no scan).
-    pruned: u64,
-    /// Point visits resolved by tightening the upper bound (one
-    /// distance computation instead of a full scan).
-    tightened: u64,
-    /// Point visits that paid for the full centroid scan.
-    scanned: u64,
     /// Assignment changes applied across all iterations.
     moves: u64,
+    /// Every assignment pass's tallies, summed.
+    points: PassTally,
 }
 
 /// One restart: k-means++ seeding, bounded Lloyd iterations, final
-/// scoring. `pruned` selects the Hamerly fast path; both settings
+/// scoring. `pruned` selects the bounded fast path; both settings
 /// produce identical output.
 fn kmeans_single(
     data: &Matrix,
@@ -373,23 +397,25 @@ fn kmeans_single(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = RestartStats::default();
 
-    // The pruned path tracks every point's nearest/second-nearest seed
-    // distance during k-means++ itself, which makes the initial
-    // assignment pass free; the reference path seeds naively and pays
-    // for a full initial scan. Both produce the same centroids,
-    // assignments and bounds.
-    let (mut centroids, mut state) = if pruned {
-        seed_centroids_tracked(data, k, &mut rng)
-    } else {
-        let centroids = seed_centroids(data, k, &mut rng);
-        let mut state = PointBounds {
-            assignments: vec![0; n],
-            upper: vec![0.0; n],
-            lower: vec![0.0; n],
-        };
-        let (_, tally) = assign_pass(data, &centroids, &mut state, threads, true, pruned);
-        stats.absorb(tally);
-        (centroids, state)
+    // The pruned path tracks every point's nearest seed during k-means++
+    // itself, which makes the initial assignment pass free; the
+    // reference path seeds naively and pays for a full initial scan.
+    // Both produce the same centroids and assignments.
+    let (mut centroids, mut state) = {
+        let _span = phaselab_obs::span!("kmeans.seed");
+        if pruned {
+            seed_centroids_tracked(data, k, &mut rng)
+        } else {
+            let centroids = seed_centroids(data, k, &mut rng);
+            let mut state = PointBounds {
+                assignments: vec![0; n],
+                upper: vec![0.0; n],
+                lower: vec![0.0; n],
+            };
+            let (_, tally) = assign_pass(data, &centroids, &mut state, threads, true, None);
+            stats.points.add(tally);
+            (centroids, state)
+        }
     };
 
     // Incremental per-cluster sums, maintained from move lists in
@@ -403,33 +429,43 @@ fn kmeans_single(
         }
     }
 
+    let mut table = pruned.then(|| NeighbourTable::new(k));
     let mut moved = vec![0.0f64; k];
+    let mut moves = Vec::new();
     for _ in 0..max_iters {
         stats.iterations += 1;
-        update_centroids(
-            data,
-            &state.assignments,
-            &sums,
-            &counts,
-            &mut centroids,
-            &mut moved,
-        );
-        relax_bounds(&mut state, &moved);
-        let (moves, tally) = assign_pass(data, &centroids, &mut state, threads, false, pruned);
-        stats.absorb(tally);
+        {
+            let _span = phaselab_obs::span!("kmeans.update");
+            for &(i, from, to) in &moves {
+                counts[from] -= 1;
+                counts[to] += 1;
+                for (t, &v) in sums.row_mut(from).iter_mut().zip(data.row(i)) {
+                    *t -= v;
+                }
+                for (t, &v) in sums.row_mut(to).iter_mut().zip(data.row(i)) {
+                    *t += v;
+                }
+            }
+            update_centroids(
+                data,
+                &state.assignments,
+                &sums,
+                &counts,
+                &mut centroids,
+                &mut moved,
+            );
+            relax_bounds(&mut state, &moved);
+        }
+        let _span = phaselab_obs::span!("kmeans.assign");
+        if let Some(table) = table.as_mut() {
+            table.rebuild(&centroids);
+        }
+        let tally;
+        (moves, tally) = assign_pass(data, &centroids, &mut state, threads, false, table.as_ref());
+        stats.points.add(tally);
         stats.moves += moves.len() as u64;
         if moves.is_empty() {
             break;
-        }
-        for &(i, from, to) in &moves {
-            counts[from] -= 1;
-            counts[to] += 1;
-            for (t, &v) in sums.row_mut(from).iter_mut().zip(data.row(i)) {
-                *t -= v;
-            }
-            for (t, &v) in sums.row_mut(to).iter_mut().zip(data.row(i)) {
-                *t += v;
-            }
         }
     }
 
@@ -489,7 +525,7 @@ fn minibatch_single(
         // the update order is the sample order, not a data-dependent one.
         for (s, a) in sample.iter().zip(assigned.iter_mut()) {
             *a = scan_point(data.row(*s), &centroids, 0).0;
-            stats.scanned += 1;
+            stats.points.scanned += 1;
         }
         for (&s, &a) in sample.iter().zip(assigned.iter()) {
             seen[a] += 1;
@@ -506,7 +542,7 @@ fn minibatch_single(
     let mut inertia = 0.0;
     for (i, a) in assignments.iter_mut().enumerate() {
         let (best, best_d, _) = scan_point(data.row(i), &centroids, 0);
-        stats.scanned += 1;
+        stats.points.scanned += 1;
         *a = best;
         sizes[best] += 1;
         inertia += best_d;
@@ -525,20 +561,30 @@ fn minibatch_single(
     )
 }
 
-impl RestartStats {
-    fn absorb(&mut self, tally: PassTally) {
-        self.pruned += tally.pruned;
-        self.tightened += tally.tightened;
-        self.scanned += tally.scanned;
-    }
-}
-
 /// Per-assignment-pass tallies, summed over chunks.
 #[derive(Debug, Default, Clone, Copy)]
 struct PassTally {
+    /// Point visits resolved by the stale-bound certificate (no scan).
     pruned: u64,
+    /// Point visits resolved by tightening the upper bound (one
+    /// distance computation instead of a scan).
     tightened: u64,
+    /// Point visits that failed both certificates and scanned.
     scanned: u64,
+    /// Scans whose neighbour list ran out and fell back to every centroid.
+    full_scans: u64,
+    /// Point–centroid distances evaluated by the scans.
+    distances: u64,
+}
+
+impl PassTally {
+    fn add(&mut self, other: PassTally) {
+        self.pruned += other.pruned;
+        self.tightened += other.tightened;
+        self.scanned += other.scanned;
+        self.full_scans += other.full_scans;
+        self.distances += other.distances;
+    }
 }
 
 /// k-means++ seeding: the first centroid uniform, each next one drawn
@@ -588,19 +634,21 @@ fn seed_centroids(data: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
 /// scan would have rejected too.
 const SEED_SKIP_SLACK: f64 = 4.0 * (1.0 + 1e-9);
 
-/// k-means++ seeding with per-point nearest/second-nearest tracking —
-/// the pruned path's seeding. Draws the *same* centroids as
-/// [`seed_centroids`] (identical RNG stream, identical min-distance
-/// arithmetic) and additionally returns each point's assignment and
-/// Hamerly bounds, making the initial assignment pass unnecessary.
+/// k-means++ seeding with per-point nearest-seed tracking — the pruned
+/// path's seeding. Draws the *same* centroids as [`seed_centroids`]
+/// (identical RNG stream, identical min-distance arithmetic) and
+/// additionally returns each point's assignment and Hamerly bounds,
+/// making the initial assignment pass unnecessary.
 ///
 /// The update loop skips a point when the new centroid is provably too
-/// far to improve either its nearest or second-nearest distance: with
-/// `D = d(new centroid, point's centroid)` and `s` the point's
-/// second-nearest distance, `D ≥ 2s` implies
-/// `d(x, new) ≥ D − d(x, best) ≥ 2s − s = s`, so neither minimum can
-/// tighten and the skip is exact. This cuts the seeding's `O(n·k·d)`
-/// scan work down to `O(n·k)` certificate checks on clustered data.
+/// far to improve its nearest distance: with `D = d(new centroid,
+/// point's centroid)` and `m` the point's nearest distance, `D ≥ 2m`
+/// implies `d(x, new) ≥ D − m ≥ m`, so the strict `<` of the naive
+/// update cannot fire and the skip is exact. Only the nearest distance
+/// has to stay exact (it weights the next draw); the lower bounds start
+/// at 0, a valid bound that the first assignment pass tightens. This
+/// cuts the seeding's `O(n·k·d)` scan work down to `O(n·k)` certificate
+/// checks on clustered data.
 #[allow(clippy::needless_range_loop)] // index loops touch several arrays in lock-step
 fn seed_centroids_tracked(data: &Matrix, k: usize, rng: &mut StdRng) -> (Matrix, PointBounds) {
     let n = data.rows();
@@ -612,12 +660,11 @@ fn seed_centroids_tracked(data: &Matrix, k: usize, rng: &mut StdRng) -> (Matrix,
     let mut min_dist_sq: Vec<f64> = (0..n)
         .map(|i| distance_sq(data.row(i), centroids.row(0)))
         .collect();
-    let mut second_dist_sq = vec![f64::INFINITY; n];
     // Distances from the newest centroid to every earlier one, for the
     // skip certificate.
     let mut centroid_dsq = vec![0.0f64; k];
+    let mut total: f64 = min_dist_sq.iter().sum();
     for c in 1..k {
-        let total: f64 = min_dist_sq.iter().sum();
         let choice = if total <= 0.0 {
             rng.random_range(0..n)
         } else {
@@ -636,24 +683,26 @@ fn seed_centroids_tracked(data: &Matrix, k: usize, rng: &mut StdRng) -> (Matrix,
         for j in 0..c {
             centroid_dsq[j] = distance_sq(centroids.row(c), centroids.row(j));
         }
+        // The next draw's total, summed in index order as the minima are
+        // updated: the additions of `iter().sum()` in the same order. A
+        // different sign of the zero it starts from changes no positive
+        // total, the only kind a draw uses.
+        total = 0.0;
         for i in 0..n {
-            if centroid_dsq[best[i]] >= SEED_SKIP_SLACK * second_dist_sq[i] {
-                continue;
+            if centroid_dsq[best[i]] < SEED_SKIP_SLACK * min_dist_sq[i] {
+                let dsq = distance_sq(data.row(i), centroids.row(c));
+                if dsq < min_dist_sq[i] {
+                    min_dist_sq[i] = dsq;
+                    best[i] = c;
+                }
             }
-            let dsq = distance_sq(data.row(i), centroids.row(c));
-            if dsq < min_dist_sq[i] {
-                second_dist_sq[i] = min_dist_sq[i];
-                min_dist_sq[i] = dsq;
-                best[i] = c;
-            } else if dsq < second_dist_sq[i] {
-                second_dist_sq[i] = dsq;
-            }
+            total += min_dist_sq[i];
         }
     }
     let state = PointBounds {
         assignments: best,
         upper: min_dist_sq.iter().map(|d| d.sqrt()).collect(),
-        lower: second_dist_sq.iter().map(|d| d.sqrt()).collect(),
+        lower: vec![0.0; n],
     };
     (centroids, state)
 }
@@ -683,42 +732,139 @@ fn scan_point(row: &[f64], centroids: &Matrix, incumbent: usize) -> (usize, f64,
     (best_c, best_d, second)
 }
 
-/// Half the distance from each centroid to its nearest other centroid —
-/// Hamerly's per-cluster certificate: a point within `half_min[c]` of
-/// centroid `c` cannot be strictly closer to any other centroid (by the
-/// triangle inequality), so the naive tie-break keeps it in place.
-/// `∞` when `k == 1`.
-fn half_min_centroid_dist(centroids: &Matrix) -> Vec<f64> {
-    let k = centroids.rows();
-    let mut min_dist = vec![f64::INFINITY; k];
-    for a in 0..k {
-        for b in (a + 1)..k {
-            let dist = distance(centroids.row(a), centroids.row(b));
-            if dist < min_dist[a] {
-                min_dist[a] = dist;
+/// Each centroid's `min(NEAR, k − 1)` nearest other centroids, nearest
+/// first — the certificates of the assignment scans. Rebuilt into the
+/// same buffers every iteration.
+///
+/// The first entry gives Hamerly's per-cluster certificate: a point
+/// within half the nearest-centroid distance of its centroid cannot be
+/// strictly closer to any other centroid. The whole list drives
+/// [`NeighbourTable::scan`].
+struct NeighbourTable {
+    /// Entries per list.
+    width: usize,
+    /// `k × width` row-major `(distance, centroid)` entries, ascending
+    /// by squared distance, then by index.
+    entries: Vec<(f64, usize)>,
+    /// One centroid's squared distances to all others, for selection.
+    scratch: Vec<(f64, usize)>,
+}
+
+impl NeighbourTable {
+    fn new(k: usize) -> Self {
+        let width = NEAR.min(k - 1);
+        NeighbourTable {
+            width,
+            entries: vec![(0.0, 0); k * width],
+            scratch: Vec::with_capacity(k - 1),
+        }
+    }
+
+    /// Recomputes every list: each centroid's distances to all others,
+    /// then a selection of the nearest `width`, sorted.
+    fn rebuild(&mut self, centroids: &Matrix) {
+        let by_distance =
+            |x: &(f64, usize), y: &(f64, usize)| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1));
+        let width = self.width;
+        for a in 0..centroids.rows() {
+            self.scratch.clear();
+            self.scratch.extend(
+                (0..centroids.rows())
+                    .filter(|&b| b != a)
+                    .map(|b| (distance_sq(centroids.row(a), centroids.row(b)), b)),
+            );
+            if width < self.scratch.len() {
+                self.scratch.select_nth_unstable_by(width - 1, by_distance);
             }
-            if dist < min_dist[b] {
-                min_dist[b] = dist;
+            let near = &mut self.scratch[..width];
+            near.sort_unstable_by(by_distance);
+            let out = &mut self.entries[a * width..(a + 1) * width];
+            for (slot, &(dsq, b)) in out.iter_mut().zip(near.iter()) {
+                *slot = (dsq.sqrt(), b);
             }
         }
     }
-    min_dist.iter().map(|d| d * 0.5).collect()
+
+    fn list(&self, a: usize) -> &[(f64, usize)] {
+        &self.entries[a * self.width..(a + 1) * self.width]
+    }
+
+    /// Half the distance from centroid `a` to its nearest other
+    /// centroid (`∞` when `k == 1`). Bit-identical to a minimum over all
+    /// pairs, since `(x − y)² = (y − x)²`.
+    fn half_min(&self, a: usize) -> f64 {
+        self.list(a)
+            .first()
+            .map_or(f64::INFINITY, |&(dist, _)| dist * 0.5)
+    }
+
+    /// [`scan_point`]'s result for `row` — same best centroid, same
+    /// squared distance, same tie-break — from the incumbent's list
+    /// alone, or `None` when the list runs out before the stop rule
+    /// certifies the rest. `incumbent_dsq` is `d(x, c_a)²`, already
+    /// computed by the caller. Returns `(best, best_dist_sq, lower)`,
+    /// where `lower` bounds the distance to every non-best centroid.
+    ///
+    /// With `u = d(x, c_a)`, every centroid `c` satisfies
+    /// `d(x, c) ≥ d(c_a, c) − u`. Once a list entry is farther than
+    /// `u + s` from the incumbent (`s` the second-nearest distance so
+    /// far), it and every later entry are strictly farther than `s`, so
+    /// neither the best nor the second-nearest can change. The
+    /// `BOUND_SLACK` factor keeps the stop conservative under rounding.
+    fn scan(
+        &self,
+        row: &[f64],
+        centroids: &Matrix,
+        incumbent: usize,
+        incumbent_dsq: f64,
+        tally: &mut PassTally,
+    ) -> Option<(usize, f64, f64)> {
+        let u = incumbent_dsq.sqrt();
+        let list = self.list(incumbent);
+        let (mut best_c, mut best_d) = (incumbent, incumbent_dsq);
+        let mut second = f64::INFINITY;
+        let mut s = f64::INFINITY;
+        for &(dist, c) in list {
+            if dist > (u + s) * BOUND_SLACK {
+                return Some((best_c, best_d, s));
+            }
+            tally.distances += 1;
+            let dsq = distance_sq(row, centroids.row(c));
+            // `scan_point`'s order: the incumbent wins a tie, otherwise
+            // the lowest index does.
+            if dsq < best_d || (dsq == best_d && best_c != incumbent && c < best_c) {
+                second = best_d;
+                best_d = dsq;
+                best_c = c;
+            } else if dsq < second {
+                second = dsq;
+            } else {
+                continue;
+            }
+            s = second.sqrt();
+        }
+        // A complete list has seen every centroid; a truncated one
+        // leaves the rest unknown.
+        (list.len() + 1 == centroids.rows()).then_some((best_c, best_d, s))
+    }
 }
 
 /// One assignment pass over all points, chunk-parallel. Returns the move
 /// list `(point, from, to)` in ascending point order (empty on the
 /// initial pass, which writes assignments directly).
 ///
-/// With `pruned`, points whose Hamerly bounds certify their incumbent
-/// skip the scan entirely; a failed certificate falls back to the exact
-/// scan, so pruning never changes an assignment.
+/// With a neighbour `table` (the pruned path), points whose Hamerly
+/// bounds certify their incumbent skip the scan entirely, and the rest
+/// scan the incumbent's neighbour list, falling back to the exact full
+/// scan when the list runs out; no path changes an assignment. Without
+/// one, every point pays for the full scan.
 fn assign_pass(
     data: &Matrix,
     centroids: &Matrix,
     state: &mut PointBounds,
     threads: usize,
     initial: bool,
-    pruned: bool,
+    table: Option<&NeighbourTable>,
 ) -> (Vec<(usize, usize, usize)>, PassTally) {
     struct ChunkTask<'a> {
         start: usize,
@@ -726,15 +872,6 @@ fn assign_pass(
         upper: &'a mut [f64],
         lower: &'a mut [f64],
     }
-
-    // Hamerly's cluster-radius certificate, shared by every chunk. Only
-    // the pruned path consults it; O(k²·d) per pass, negligible next to
-    // the O(n·k·d) scans it avoids.
-    let half_min = if pruned && !initial {
-        half_min_centroid_dist(centroids)
-    } else {
-        Vec::new()
-    };
 
     let mut tasks = Vec::new();
     {
@@ -756,6 +893,7 @@ fn assign_pass(
         }
     }
 
+    let k = centroids.rows() as u64;
     let per_chunk = parallel_map_owned(tasks, threads, |task| {
         let mut moves = Vec::new();
         let mut tally = PassTally::default();
@@ -763,27 +901,35 @@ fn assign_pass(
             let i = task.start + j;
             let row = data.row(i);
             let incumbent = if initial { 0 } else { task.assignments[j] };
-            if !initial && pruned {
+            let mut found = None;
+            if let Some(table) = table {
                 // Certificate 1: stale upper bound already below both the
                 // lower bound on every other centroid and the incumbent's
                 // cluster radius.
-                let gate = task.lower[j].max(half_min[incumbent]);
+                let gate = task.lower[j].max(table.half_min(incumbent));
                 if task.upper[j] * BOUND_SLACK <= gate {
                     tally.pruned += 1;
                     continue;
                 }
                 // Certificate 2: tighten the upper bound to the exact
-                // distance and retest before paying for a full scan.
-                task.upper[j] = distance_sq(row, centroids.row(incumbent)).sqrt();
+                // distance and retest before scanning.
+                let incumbent_dsq = distance_sq(row, centroids.row(incumbent));
+                task.upper[j] = incumbent_dsq.sqrt();
                 if task.upper[j] * BOUND_SLACK <= gate {
                     tally.tightened += 1;
                     continue;
                 }
+                found = table.scan(row, centroids, incumbent, incumbent_dsq, &mut tally);
+                tally.full_scans += u64::from(found.is_none());
             }
             tally.scanned += 1;
-            let (best, best_d, second) = scan_point(row, centroids, incumbent);
+            let (best, best_d, lower) = found.unwrap_or_else(|| {
+                tally.distances += k;
+                let (best, best_d, second) = scan_point(row, centroids, incumbent);
+                (best, best_d, second.sqrt())
+            });
             task.upper[j] = best_d.sqrt();
-            task.lower[j] = second.sqrt();
+            task.lower[j] = lower;
             if initial {
                 task.assignments[j] = best;
             } else if best != incumbent {
@@ -797,9 +943,7 @@ fn assign_pass(
     let mut tally = PassTally::default();
     for (chunk_moves, chunk_tally) in per_chunk {
         moves.extend(chunk_moves);
-        tally.pruned += chunk_tally.pruned;
-        tally.tightened += chunk_tally.tightened;
-        tally.scanned += chunk_tally.scanned;
+        tally.add(chunk_tally);
     }
     (moves, tally)
 }
@@ -985,6 +1129,100 @@ mod tests {
             assert_eq!(pruned.inertia.to_bits(), naive.inertia.to_bits());
             assert_eq!(pruned.bic.to_bits(), naive.bic.to_bits());
             assert_eq!(pruned.sizes, naive.sizes);
+        }
+    }
+
+    #[test]
+    fn exhausted_neighbour_list_falls_back_to_full_scan() {
+        // Centroid 0 at the origin, its NEAR nearest neighbours bunched
+        // just right of 1, and the point's true nearest centroid at −1.5,
+        // off centroid 0's list. The point at −1 starts in cluster 0; its
+        // list runs out uncertified, so only the full scan finds −1.5.
+        let k = NEAR + 2;
+        let mut rows = vec![vec![0.0]];
+        rows.extend((1..=NEAR).map(|i| vec![1.0 + 0.001 * i as f64]));
+        rows.push(vec![-1.5]);
+        let centroids = Matrix::from_rows(&rows);
+        let data = Matrix::from_rows(&[vec![-1.0]]);
+        let mut table = NeighbourTable::new(k);
+        table.rebuild(&centroids);
+        let mut state = PointBounds {
+            assignments: vec![0],
+            upper: vec![f64::INFINITY],
+            lower: vec![0.0],
+        };
+        let (moves, tally) = assign_pass(&data, &centroids, &mut state, 1, false, Some(&table));
+        assert_eq!(moves, vec![(0, 0, k - 1)]);
+        assert_eq!((tally.scanned, tally.full_scans), (1, 1));
+        assert_eq!(tally.distances, (NEAR + k) as u64);
+        let (best, best_d, second) = scan_point(data.row(0), &centroids, 0);
+        assert_eq!(best, k - 1);
+        assert_eq!(state.upper[0].to_bits(), best_d.sqrt().to_bits());
+        assert_eq!(state.lower[0].to_bits(), second.sqrt().to_bits());
+    }
+
+    #[test]
+    fn neighbour_scan_stops_early_with_the_exact_result() {
+        // Evenly spaced centroids on a line and a point 4.8 from its
+        // stale incumbent: the scan finds centroid 40 and stops once the
+        // list passes u + s = 4.8 + 0.8, a third of the way down.
+        let k = 3 * NEAR;
+        let rows: Vec<Vec<f64>> = (0..k).map(|i| vec![i as f64]).collect();
+        let centroids = Matrix::from_rows(&rows);
+        let mut table = NeighbourTable::new(k);
+        table.rebuild(&centroids);
+        let row = [40.2];
+        let incumbent = 45;
+        let incumbent_dsq = distance_sq(&row, centroids.row(incumbent));
+        let mut tally = PassTally::default();
+        let (best, best_d, lower) = table
+            .scan(&row, &centroids, incumbent, incumbent_dsq, &mut tally)
+            .expect("certified from the list");
+        let (want, want_d, want_second) = scan_point(&row, &centroids, incumbent);
+        assert_eq!((best, best_d.to_bits()), (want, want_d.to_bits()));
+        assert_eq!(lower.to_bits(), want_second.sqrt().to_bits());
+        assert!(
+            tally.distances < NEAR as u64,
+            "{} distances",
+            tally.distances
+        );
+    }
+
+    proptest::proptest! {
+        /// Against the full scan on a few-level grid (ties, coincident
+        /// centroids): whenever the neighbour scan answers, it finds the
+        /// same best centroid and squared distance and the exact
+        /// second-nearest distance, and it answers whenever the lists
+        /// are complete.
+        #[test]
+        fn neighbour_scan_matches_full_scan(seed in 0u64..u64::MAX, k in 1usize..90, cols in 1usize..4) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut grid = |rows: usize, scale: f64| {
+                let mut m = Matrix::zeros(rows, cols);
+                for r in 0..rows {
+                    for v in m.row_mut(r) {
+                        *v = f64::from(rng.random_range(0..5u32)) * scale;
+                    }
+                }
+                m
+            };
+            let centroids = grid(k, 1.0);
+            let points = grid(40, 0.5);
+            let mut table = NeighbourTable::new(k);
+            table.rebuild(&centroids);
+            for (i, row) in points.iter_rows().enumerate() {
+                let incumbent = i % k;
+                let incumbent_dsq = distance_sq(row, centroids.row(incumbent));
+                let mut tally = PassTally::default();
+                let found = table.scan(row, &centroids, incumbent, incumbent_dsq, &mut tally);
+                let (want, want_d, want_second) = scan_point(row, &centroids, incumbent);
+                let Some((best, best_d, lower)) = found else {
+                    proptest::prop_assert!(k > NEAR + 1, "complete lists always answer");
+                    continue;
+                };
+                proptest::prop_assert_eq!((best, best_d.to_bits()), (want, want_d.to_bits()));
+                proptest::prop_assert_eq!(lower.to_bits(), want_second.sqrt().to_bits());
+            }
         }
     }
 

@@ -123,8 +123,8 @@ proptest! {
     }
 
     /// The bound-pruned, parallel k-means is bit-identical to the naive
-    /// full-scan reference — same assignments, same inertia and BIC down
-    /// to the last bit — for any thread count.
+    /// full-scan reference — same assignments, sizes and centroids, same
+    /// inertia and BIC down to the last bit — for any thread count.
     #[test]
     fn kmeans_pruned_matches_naive_reference(
         n in 5usize..60,
@@ -152,6 +152,11 @@ proptest! {
         for threads in [1usize, 2, 4] {
             let pruned = kmeans(&m, &base.clone().with_threads(threads));
             prop_assert_eq!(&pruned.assignments, &reference.assignments, "threads = {}", threads);
+            prop_assert_eq!(&pruned.sizes, &reference.sizes, "threads = {}", threads);
+            for (got, want) in pruned.centroids.iter_rows().zip(reference.centroids.iter_rows()) {
+                let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(got), bits(want), "threads = {}", threads);
+            }
             prop_assert_eq!(pruned.inertia.to_bits(), reference.inertia.to_bits(), "threads = {}", threads);
             prop_assert_eq!(pruned.bic.to_bits(), reference.bic.to_bits(), "threads = {}", threads);
         }
