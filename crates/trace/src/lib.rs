@@ -28,7 +28,6 @@
 
 mod block;
 mod record;
-mod serialize;
 mod sink;
 
 pub use block::{
@@ -39,5 +38,4 @@ pub use record::{
     ArchReg, BranchInfo, InstClass, InstRecord, MemAccess, RegReads, NUM_ARCH_REGS,
     NUM_INST_CLASSES,
 };
-pub use serialize::{replay, ReplayError, TraceWriter};
-pub use sink::{ClassHistogram, CountingSink, TeeSink, TraceSink, VecSink};
+pub use sink::{ClassHistogram, CountingSink, TraceSink, VecSink};

@@ -126,50 +126,6 @@ impl TraceSink for VecSink {
     }
 }
 
-/// A sink that forwards every record to two sinks.
-///
-/// # Examples
-///
-/// ```
-/// use phaselab_trace::{CountingSink, InstClass, InstRecord, TeeSink, TraceSink, VecSink};
-///
-/// let mut tee = TeeSink::new(CountingSink::new(), VecSink::new());
-/// tee.observe(&InstRecord::new(0, InstClass::Nop));
-/// let (count, vec) = tee.into_inner();
-/// assert_eq!(count.count(), 1);
-/// assert_eq!(vec.records().len(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TeeSink<A, B> {
-    first: A,
-    second: B,
-}
-
-impl<A: TraceSink, B: TraceSink> TeeSink<A, B> {
-    /// Creates a tee over two sinks.
-    pub fn new(first: A, second: B) -> Self {
-        TeeSink { first, second }
-    }
-
-    /// Returns the two inner sinks.
-    pub fn into_inner(self) -> (A, B) {
-        (self.first, self.second)
-    }
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    #[inline]
-    fn observe(&mut self, rec: &InstRecord) {
-        self.first.observe(rec);
-        self.second.observe(rec);
-    }
-
-    fn finish(&mut self) {
-        self.first.finish();
-        self.second.finish();
-    }
-}
-
 /// A sink that histograms instructions by [`InstClass`].
 ///
 /// # Examples
@@ -257,16 +213,6 @@ mod tests {
         s.observe(&rec(InstClass::FpMul));
         let classes: Vec<InstClass> = s.into_records().iter().map(|r| r.class).collect();
         assert_eq!(classes, vec![InstClass::IntAdd, InstClass::FpMul]);
-    }
-
-    #[test]
-    fn tee_sink_forwards_to_both() {
-        let mut tee = TeeSink::new(CountingSink::new(), ClassHistogram::new());
-        tee.observe(&rec(InstClass::Shift));
-        tee.finish();
-        let (count, hist) = tee.into_inner();
-        assert_eq!(count.count(), 1);
-        assert_eq!(hist.count_of(InstClass::Shift), 1);
     }
 
     #[test]
