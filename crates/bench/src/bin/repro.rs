@@ -1,50 +1,8 @@
 //! `repro` — regenerates every table and figure of Hoste & Eeckhout
 //! (ISPASS 2008) from the `phaselab` reproduction.
 //!
-//! ```text
-//! repro [options] <experiment>
-//!
-//! experiments:
-//!   table1             the 69 characteristics by category (Table 1)
-//!   table2             GA-selected key characteristics (Table 2)
-//!   table3             benchmarks and interval counts (Table 3)
-//!   fig1               GA correlation vs #characteristics (Figure 1)
-//!   fig23              kiviat + pie plots of the prominent phases (Figures 2-3)
-//!   fig4               workload-space coverage per suite (Figure 4)
-//!   fig5               cumulative coverage per suite (Figure 5)
-//!   fig6               unique-behavior fraction per suite (Figure 6)
-//!   motivation         aggregate vs phase-level characterization (§2.1)
-//!   implications       simulation-point counts per suite (§5.3)
-//!   simpoints          per-benchmark SimPoint accuracy (related work)
-//!   benchmarks         per-benchmark coverage and specificity
-//!   drift              CPU2000 -> CPU2006 benchmark drift
-//!   similarity         benchmark-similarity heatmap + dendrogram cut
-//!   ablation-k         coverage/variability trade-off across k (§2.6)
-//!   ablation-interval  interval-granularity sensitivity (§2.9)
-//!   ablation-sampling  equal-weight vs proportional sampling (§2.4)
-//!   all                everything above, sharing one study run
-//!
-//! options:
-//!   --scale tiny|small|full   workload scale        (default: full)
-//!   --interval N              interval length       (default: 100000)
-//!   --samples N               samples per benchmark (default: 200)
-//!   --k N                     clusters              (default: 300)
-//!   --seed N                  master seed           (default: 0)
-//!   --threads N               worker threads        (default: all cores)
-//!   --engine block|inst       VM execution engine   (default: block)
-//!   --suites LIST             restrict the study to these suites (comma-separated)
-//!   --only LIST               restrict the study to these benchmark names
-//!   --checkpoint-dir DIR      persist/reuse study checkpoints in DIR
-//!   --resume                  resume from --checkpoint-dir (must exist)
-//!   --max-inst-per-bench N    quarantine benchmarks exceeding N instructions
-//!   --no-static-analysis      skip the static pre-flight (budgets, pruning,
-//!                             shard ordering, static_analysis section)
-//!   --metrics-out PATH        write the run manifest (JSON) to PATH
-//!   --progress                throttled stage/progress lines on stderr
-//!   --verify-only             statically verify every registry program, run nothing
-//!   --json                    machine-readable diagnostics (lint/--verify-only)
-//!   --help                    print usage and exit
-//! ```
+//! `repro --help` lists the experiments and every option; the `USAGE`
+//! text it prints is the one place they are documented.
 //!
 //! `--verify-only` is a lint mode: it builds every registry program at
 //! the requested `--scale`, runs `Program::verify_all` on each, prints
@@ -259,8 +217,6 @@ options:
                             --checkpoint-dir; results are bit-identical, but
                             fig1/fig23/motivation/all need the matrix and
                             refuse this mode)
-  --kmeans-batch N          mini-batch k-means, N sampled points per iteration
-                            (approximate; the exact Hamerly solver when omitted)
   --shard I/N               worker pass of a sharded study: characterize shard
                             I of N (round-robin by catalog index) into the
                             checkpoint store and exit; no analysis runs.
@@ -900,7 +856,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--suites",
     "--only",
     "--checkpoint-dir",
-    "--kmeans-batch",
     "--max-inst-per-bench",
 ];
 
@@ -1203,15 +1158,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--no-static-analysis" => cfg.static_analysis = false,
             "--resume" => resume = true,
             "--streaming" => streaming = true,
-            "--kmeans-batch" => {
-                let v = value(args, i)?;
-                i += 1;
-                let batch: usize = parse_num("--kmeans-batch", &v)?;
-                if batch == 0 {
-                    return Err("bad value `0` for `--kmeans-batch` (must be positive)".to_string());
-                }
-                cfg.kmeans_batch = Some(batch);
-            }
             "--shard" => {
                 let v = value(args, i)?;
                 i += 1;

@@ -146,10 +146,6 @@ pub struct StudyConfig {
     /// checkpoint fingerprint so a reducer only ever consumes outcomes
     /// produced under the same topology.
     pub shard_total: u32,
-    /// Mini-batch size for k-means (`None`, the default, keeps the exact
-    /// bounded-Lloyd algorithm). An approximation — see
-    /// [`KmeansConfig::batch`](phaselab_stats::KmeansConfig).
-    pub kmeans_batch: Option<usize>,
     /// Run the abstract-interpretation pre-flight
     /// (`Program::analyze`) over every benchmark before executing it
     /// (default: on). The pre-flight records a `static_analysis`
@@ -189,7 +185,6 @@ impl StudyConfig {
             seed: 0,
             analysis: AnalysisMode::InRam,
             shard_total: 1,
-            kmeans_batch: None,
             static_analysis: true,
         }
     }
@@ -217,7 +212,6 @@ impl StudyConfig {
             seed: 0,
             analysis: AnalysisMode::InRam,
             shard_total: 1,
-            kmeans_batch: None,
             static_analysis: true,
         }
     }
@@ -264,9 +258,6 @@ impl StudyConfig {
         }
         if self.shard_total == 0 {
             return Err(ConfigError::ZeroShards);
-        }
-        if self.kmeans_batch == Some(0) {
-            return Err(ConfigError::ZeroKmeansBatch);
         }
         self.ga.validate()?;
         Ok(())
@@ -348,10 +339,6 @@ mod tests {
         let mut cfg = StudyConfig::smoke();
         cfg.shard_total = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroShards));
-
-        let mut cfg = StudyConfig::smoke();
-        cfg.kmeans_batch = Some(0);
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroKmeansBatch));
 
         let mut cfg = StudyConfig::smoke();
         cfg.ga.populations = 0;

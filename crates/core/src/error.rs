@@ -54,9 +54,6 @@ pub enum ConfigError {
     ZeroBenchBudget,
     /// `shard_total` is zero — a study must have at least one shard.
     ZeroShards,
-    /// `kmeans_batch` is `Some(0)`: a mini-batch of zero points would
-    /// never move a centroid.
-    ZeroKmeansBatch,
     /// A shard index at or beyond `shard_total`.
     ShardIndex {
         /// The out-of-range worker index.
@@ -96,9 +93,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "per-benchmark instruction budget must be positive")
             }
             ConfigError::ZeroShards => write!(f, "shard count must be positive"),
-            ConfigError::ZeroKmeansBatch => {
-                write!(f, "k-means mini-batch size must be positive")
-            }
             ConfigError::ShardIndex { index, total } => {
                 write!(f, "shard index {index} out of range for {total} shard(s)")
             }
@@ -390,7 +384,6 @@ mod tests {
             StudyError::Analysis(AnalysisError::NoIntervalsSampled).to_string(),
             StudyError::Cancelled.to_string(),
             ConfigError::ZeroShards.to_string(),
-            ConfigError::ZeroKmeansBatch.to_string(),
             ConfigError::ShardIndex { index: 3, total: 2 }.to_string(),
             ConfigError::StreamingNeedsStore.to_string(),
             AnalysisError::InconsistentCheckpoint {

@@ -523,8 +523,7 @@ pub fn run_study_with_resumable(
         .with_restarts(cfg.kmeans_restarts)
         .with_max_iters(cfg.kmeans_max_iters)
         .with_seed(cfg.seed ^ 0xC1u64)
-        .with_threads(cfg.threads)
-        .with_batch(cfg.kmeans_batch);
+        .with_threads(cfg.threads);
     let clustering = {
         let _span = phaselab_obs::span!("kmeans");
         cluster_resumable(&space, &kcfg, store, token)?

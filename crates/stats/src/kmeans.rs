@@ -37,19 +37,11 @@ pub struct KmeansConfig {
     pub seed: u64,
     /// Worker threads (0 = all cores). Results never depend on this.
     pub threads: usize,
-    /// Mini-batch size. `None` (the default) runs exact bounded Lloyd
-    /// iterations; `Some(b)` runs Sculley-style mini-batch k-means,
-    /// updating centroids from `b` sampled points per iteration instead
-    /// of scanning every point. An approximation — cheaper per iteration
-    /// on large inputs, but assignments only agree with the exact
-    /// algorithm on well-separated data (see `tests/properties.rs`).
-    pub batch: Option<usize>,
 }
 
 impl KmeansConfig {
     /// Creates a configuration with `k` clusters and sensible defaults
-    /// (5 restarts, 100 iterations, seed 0, single-threaded, exact
-    /// Lloyd iterations).
+    /// (5 restarts, 100 iterations, seed 0, single-threaded).
     pub fn new(k: usize) -> Self {
         KmeansConfig {
             k,
@@ -57,7 +49,6 @@ impl KmeansConfig {
             max_iters: 100,
             seed: 0,
             threads: 1,
-            batch: None,
         }
     }
 
@@ -86,13 +77,6 @@ impl KmeansConfig {
     /// a fixed order, so the clustering is identical for every value.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Selects mini-batch iterations with `batch` sampled points each
-    /// (`None` restores the exact algorithm).
-    pub fn with_batch(mut self, batch: Option<usize>) -> Self {
-        self.batch = batch;
         self
     }
 }
@@ -220,17 +204,14 @@ pub fn kmeans_restart(
     check_config(data, cfg);
     let seed = derive_seed(cfg.seed, restart as u64);
     let _span = phaselab_obs::span!("kmeans.restart", restart);
-    let (clustering, stats) = match cfg.batch {
-        Some(batch) => minibatch_single(data, cfg.k, cfg.max_iters, seed, batch),
-        None => kmeans_single(
-            data,
-            cfg.k,
-            cfg.max_iters,
-            seed,
-            effective_threads(threads),
-            true,
-        ),
-    };
+    let (clustering, stats) = kmeans_single(
+        data,
+        cfg.k,
+        cfg.max_iters,
+        seed,
+        effective_threads(threads),
+        true,
+    );
     if phaselab_obs::enabled() {
         flush_restart_stats(restart, &clustering, &stats);
     }
@@ -333,7 +314,6 @@ fn check_config(data: &Matrix, cfg: &KmeansConfig) {
         cfg.k,
         data.rows()
     );
-    assert!(cfg.batch != Some(0), "batch size must be positive");
 }
 
 fn pick_best(candidates: Vec<Clustering>) -> Clustering {
@@ -481,77 +461,6 @@ fn kmeans_single(
     (
         Clustering {
             assignments: state.assignments,
-            centroids,
-            sizes,
-            inertia,
-            bic,
-        },
-        stats,
-    )
-}
-
-/// One mini-batch restart (Sculley, WWW 2010): k-means++ seeding, then
-/// `max_iters` iterations that each draw `batch` points uniformly at
-/// random, assign them against the *frozen* centroids, and pull each
-/// chosen centroid toward its samples with a per-center learning rate
-/// `1 / (cumulative samples seen by that center)`. Ends with one full
-/// assignment pass so the reported assignments, sizes, inertia, and BIC
-/// describe the whole data set.
-///
-/// Deterministic for a fixed seed (single RNG stream, sequential
-/// updates) and independent of the thread count by construction.
-fn minibatch_single(
-    data: &Matrix,
-    k: usize,
-    max_iters: usize,
-    seed: u64,
-    batch: usize,
-) -> (Clustering, RestartStats) {
-    let n = data.rows();
-    let d = data.cols();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut stats = RestartStats::default();
-
-    let mut centroids = seed_centroids(data, k, &mut rng);
-    let mut seen = vec![0u64; k];
-    let mut sample = vec![0usize; batch];
-    let mut assigned = vec![0usize; batch];
-    for _ in 0..max_iters {
-        stats.iterations += 1;
-        for s in &mut sample {
-            *s = rng.random_range(0..n);
-        }
-        // Assignment against frozen centroids, then sequential updates:
-        // the update order is the sample order, not a data-dependent one.
-        for (s, a) in sample.iter().zip(assigned.iter_mut()) {
-            *a = scan_point(data.row(*s), &centroids, 0).0;
-            stats.points.scanned += 1;
-        }
-        for (&s, &a) in sample.iter().zip(assigned.iter()) {
-            seen[a] += 1;
-            let eta = 1.0 / seen[a] as f64;
-            for (c, &v) in centroids.row_mut(a).iter_mut().zip(data.row(s)) {
-                *c += eta * (v - *c);
-            }
-        }
-    }
-
-    // Full closing pass: assignments and statistics over every point.
-    let mut assignments = vec![0usize; n];
-    let mut sizes = vec![0usize; k];
-    let mut inertia = 0.0;
-    for (i, a) in assignments.iter_mut().enumerate() {
-        let (best, best_d, _) = scan_point(data.row(i), &centroids, 0);
-        stats.points.scanned += 1;
-        *a = best;
-        sizes[best] += 1;
-        inertia += best_d;
-    }
-    let bic = bic_score(n, d, k, &sizes, inertia);
-
-    (
-        Clustering {
-            assignments,
             centroids,
             sizes,
             inertia,
@@ -1271,43 +1180,6 @@ mod tests {
         let c2 = kmeans(&data, &KmeansConfig::new(2).with_seed(5));
         let c8 = kmeans(&data, &KmeansConfig::new(8).with_seed(5));
         assert!(c8.inertia <= c2.inertia + 1e-9);
-    }
-
-    #[test]
-    fn minibatch_separates_well_separated_blobs() {
-        let data = two_blobs();
-        let cfg = KmeansConfig::new(2).with_seed(7).with_batch(Some(8));
-        let mb = kmeans(&data, &cfg);
-        let exact = kmeans(&data, &cfg.clone().with_batch(None));
-        // Same partition (up to label permutation) on separated blobs.
-        for i in 0..data.rows() {
-            for j in 0..data.rows() {
-                assert_eq!(
-                    mb.assignments[i] == mb.assignments[j],
-                    exact.assignments[i] == exact.assignments[j],
-                    "rows {i},{j} disagree on co-membership"
-                );
-            }
-        }
-        assert_eq!(mb.sizes.iter().sum::<usize>(), data.rows());
-    }
-
-    #[test]
-    fn minibatch_is_deterministic_and_thread_independent() {
-        let data = two_blobs();
-        let cfg = KmeansConfig::new(3).with_seed(42).with_batch(Some(5));
-        let a = kmeans(&data, &cfg);
-        let b = kmeans(&data, &cfg.clone().with_threads(4));
-        assert_eq!(a.assignments, b.assignments);
-        assert_eq!(a.inertia.to_bits(), b.inertia.to_bits());
-        assert_eq!(a.bic.to_bits(), b.bic.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_rejected() {
-        let data = two_blobs();
-        let _ = kmeans(&data, &KmeansConfig::new(2).with_batch(Some(0)));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * principal components analysis ([`Pca`]) via Jacobi eigendecomposition
 //!   of the (symmetric) covariance matrix,
 //! * k-means++ clustering with multiple restarts scored by the Bayesian
-//!   Information Criterion ([`kmeans`]), with an optional mini-batch mode,
+//!   Information Criterion ([`kmeans`]),
 //! * one-pass, mergeable streaming accumulators for column statistics and
 //!   covariance ([`RunningColumnStats`], [`RunningCovariance`]) so the
 //!   analysis can run memory-bounded without materializing its input,

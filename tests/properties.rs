@@ -265,53 +265,6 @@ proptest! {
             }
         }
     }
-
-    /// Mini-batch k-means recovers the same partition as the exact
-    /// Hamerly solver on well-separated blobs — the regime the
-    /// approximation contract promises (see `KmeansConfig::batch`).
-    #[test]
-    fn minibatch_agrees_with_exact_hamerly_on_separated_blobs(
-        k in 2usize..5,
-        per_blob in 4usize..12,
-        dims in 1usize..4,
-        batch in 8usize..64,
-        seed in 0u64..500,
-    ) {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        // Blob centers 1000 apart per axis, points within +/- 0.5.
-        let rows: Vec<Vec<f64>> = (0..k)
-            .flat_map(|c| {
-                let center: Vec<f64> = (0..dims).map(|d| (c * 1000 + d * 37) as f64).collect();
-                (0..per_blob)
-                    .map(|_| center.iter().map(|&x| x + next()).collect::<Vec<f64>>())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let m = Matrix::from_rows(&rows);
-        let cfg = KmeansConfig::new(k)
-            .with_restarts(2)
-            .with_max_iters(40)
-            .with_seed(seed);
-        let exact = kmeans(&m, &cfg);
-        let mini = kmeans(&m, &cfg.clone().with_batch(Some(batch)));
-        // Same partition up to cluster relabeling: co-membership agrees
-        // for every pair of points.
-        for i in 0..rows.len() {
-            for j in (i + 1)..rows.len() {
-                prop_assert_eq!(
-                    exact.assignments[i] == exact.assignments[j],
-                    mini.assignments[i] == mini.assignments[j],
-                    "pair ({}, {}) co-membership diverged", i, j
-                );
-            }
-        }
-    }
 }
 
 /// Relative closeness with an absolute floor for near-zero values.
