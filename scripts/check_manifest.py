@@ -81,10 +81,10 @@ SOURCES = ("verify", "lint")
 
 # Counters that are Timing-class by contract: they record operational
 # luck (fault injection, lease takeovers, worker restarts, read
-# retries, cache and job-server traffic), not study structure, so they
-# may only ever appear under `timings.counters`. One of them leaking
-# into the structural `counters` section would break the byte-identity
-# of chaos runs (and, for `serve.`/`cache.`, of served-vs-direct runs).
+# retries, cache traffic), not study structure, so they may only ever
+# appear under `timings.counters`. One of them leaking into the
+# structural `counters` section would break the byte-identity of chaos
+# runs.
 TIMING_ONLY_COUNTER_PREFIXES = (
     "supervisor.restarts",
     "store.lease_takeovers",
@@ -92,7 +92,6 @@ TIMING_ONLY_COUNTER_PREFIXES = (
     "checkpoint.read_retries",
     "checkpoint.invalid",
     "checkpoint.write_errors",
-    "serve.",
     "cache.",
 )
 
