@@ -1186,18 +1186,20 @@ fn prominent_phases(
         bench_totals[s.bench] += 1;
     }
 
+    let top: Vec<usize> = order
+        .into_iter()
+        .take(cfg.n_prominent)
+        .filter(|&c| clustering.sizes[c] > 0)
+        .collect();
     let mut phases = Vec::new();
     let mut coverage = 0.0;
-    for &cluster in order.iter().take(cfg.n_prominent) {
-        if clustering.sizes[cluster] == 0 {
-            continue;
-        }
-        let members = clustering.members_of(cluster);
+    for (cluster, (members, representative_row)) in top
+        .iter()
+        .copied()
+        .zip(members_and_representatives(clustering, space, &top))
+    {
         let weight = members.len() as f64 / total;
         coverage += weight;
-        let representative_row = clustering
-            .representative_of(space, cluster)
-            .expect("non-empty cluster");
 
         let mut per_bench = vec![0usize; benchmarks.len()];
         for &row in &members {
@@ -1246,6 +1248,46 @@ fn prominent_phases(
     (phases, coverage)
 }
 
+/// The members and the representative of each of the non-empty
+/// `clusters`, in one ascending pass over the assignments: the same rows
+/// as [`Clustering::members_of`] and the same row as
+/// [`Clustering::representative_of`], whose first row at the smallest
+/// distance wins a tie.
+fn members_and_representatives(
+    clustering: &Clustering,
+    space: &Matrix,
+    clusters: &[usize],
+) -> Vec<(Vec<usize>, usize)> {
+    let mut slot = vec![usize::MAX; clustering.k()];
+    for (s, &c) in clusters.iter().enumerate() {
+        slot[c] = s;
+    }
+    let mut members: Vec<Vec<usize>> = clusters
+        .iter()
+        .map(|&c| Vec::with_capacity(clustering.sizes[c]))
+        .collect();
+    let mut nearest: Vec<Option<(usize, f64)>> = vec![None; clusters.len()];
+    for (row, &c) in clustering.assignments.iter().enumerate() {
+        let s = slot[c];
+        if s == usize::MAX {
+            continue;
+        }
+        members[s].push(row);
+        let d = distance_sq(space.row(row), clustering.centroids.row(c));
+        let closer = nearest[s].is_none_or(|(_, best)| {
+            d.partial_cmp(&best).expect("finite distances") == std::cmp::Ordering::Less
+        });
+        if closer {
+            nearest[s] = Some((row, d));
+        }
+    }
+    members
+        .into_iter()
+        .zip(nearest)
+        .map(|(m, n)| (m, n.expect("non-empty cluster").0))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1291,6 +1333,47 @@ mod tests {
                 PhaseKind::Mixed => assert!(p.suites.len() > 1),
             }
         }
+    }
+
+    #[test]
+    fn one_pass_members_match_the_per_cluster_scans() {
+        // Tied distances everywhere: cluster 0's rows sit at ±1 around
+        // its centroid, cluster 2's at ±(1, 1) and exactly on it twice,
+        // cluster 1 is empty and cluster 3 is left out.
+        let space = Matrix::from_rows(&[
+            vec![1.0, 0.0],
+            vec![5.0, 5.0],
+            vec![-1.0, 0.0],
+            vec![4.0, 4.0],
+            vec![1.0, 0.0],
+            vec![5.0, 5.0],
+            vec![9.0, 9.0],
+            vec![6.0, 6.0],
+            vec![-1.0, 0.0],
+        ]);
+        let clustering = Clustering {
+            assignments: vec![0, 2, 0, 2, 0, 2, 3, 2, 0],
+            centroids: Matrix::from_rows(&[
+                vec![0.0, 0.0],
+                vec![7.0, 7.0],
+                vec![5.0, 5.0],
+                vec![9.0, 9.0],
+            ]),
+            sizes: vec![4, 0, 4, 1],
+            inertia: 0.0,
+            bic: 0.0,
+        };
+        let clusters = [2, 0];
+        let fast = members_and_representatives(&clustering, &space, &clusters);
+        for (&c, (members, representative)) in clusters.iter().zip(&fast) {
+            assert_eq!(*members, clustering.members_of(c), "cluster {c}");
+            assert_eq!(
+                Some(*representative),
+                clustering.representative_of(&space, c)
+            );
+        }
+        assert_eq!(fast[0].1, 1, "first row on the centroid");
+        assert_eq!(fast[1].1, 0, "first of four rows at distance 1");
     }
 
     #[test]
