@@ -81,6 +81,12 @@ impl Pca {
         self.means.len()
     }
 
+    /// The principal directions: entry `(j, c)` is input variable `j`'s
+    /// weight in component `c`, components ordered by decreasing variance.
+    pub fn components(&self) -> &Matrix {
+        &self.components
+    }
+
     /// The variance captured by each principal component, descending.
     pub fn variances(&self) -> &[f64] {
         &self.variances
