@@ -47,7 +47,7 @@ use std::fmt;
 use std::fs;
 use std::io::{self};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 use phaselab_mica::{FeatureVector, FEATURE_REVISION, NUM_FEATURES};
 use phaselab_stats::{Clustering, KmeansConfig, Matrix};
@@ -57,7 +57,7 @@ use phaselab_workloads::{Scale, Suite};
 use crate::characterize::BenchCharacterization;
 use crate::config::{AnalysisMode, StudyConfig};
 use crate::error::{QuarantineCause, QuarantinedBenchmark};
-use crate::faults;
+use crate::faults::{self, FaultPlan, Injector};
 
 const MAGIC: &[u8; 4] = b"PLCK";
 /// Bumped whenever the payload encodings change; older files are
@@ -163,30 +163,31 @@ pub enum BenchOutcome {
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
 
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
+/// The CRC of each byte value, fixed at compile time.
+static CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < table.len() {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
-}
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
 
 fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
     let mut c = !0u32;
     for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -197,19 +198,21 @@ fn crc32(bytes: &[u8]) -> u32 {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-struct Fnv(u64);
+/// FNV-1a 64 over bytes and little-endian `u64`s: store keys, fault
+/// decisions and lease tokens.
+pub(crate) struct Fnv(pub(crate) u64);
 
 impl Fnv {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv(FNV_OFFSET)
     }
-    fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
         }
         self
     }
-    fn u64(&mut self, v: u64) -> &mut Self {
+    pub(crate) fn u64(&mut self, v: u64) -> &mut Self {
         self.bytes(&v.to_le_bytes())
     }
 }
@@ -792,21 +795,32 @@ fn sanitize(name: &str) -> String {
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
+    /// The fault injector this handle's reads, writes and renames go
+    /// through; `None` means plain `std::fs` calls.
+    faults: Option<Arc<Injector>>,
 }
 
 impl CheckpointStore {
-    /// Opens (creating if needed) a checkpoint directory.
+    /// Opens (creating if needed) a checkpoint directory, armed with the
+    /// `PHASELAB_FAULTS` plan if the environment sets a valid one.
     ///
     /// # Errors
     ///
     /// Returns the I/O error if the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        // Any process that touches a store (including spawned shard
-        // workers) arms chaos injection from the environment here.
-        faults::arm_from_env();
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(CheckpointStore { dir })
+        let plan = faults::env_plan().cloned().unwrap_or_default();
+        Ok(CheckpointStore { dir, faults: None }.with_faults(plan))
+    }
+
+    /// This handle with `plan`'s faults injected into its I/O, replacing
+    /// any plan it had. A no-op plan leaves the handle without an
+    /// injector. Clones share the injector and its `max` budget.
+    #[must_use]
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = (!plan.is_noop()).then(|| Arc::new(Injector::new(plan)));
+        self
     }
 
     /// The store's root directory.
@@ -832,13 +846,19 @@ impl CheckpointStore {
             .join(format!("restart-{restart}.ckpt"))
     }
 
-    fn write(path: &Path, kind: u8, fingerprint: u64, payload: &[u8]) {
+    fn write(&self, path: &Path, kind: u8, fingerprint: u64, payload: &[u8]) {
         let result: io::Result<()> = (|| {
             let parent = path.parent().expect("checkpoint paths have a parent");
             fs::create_dir_all(parent)?;
             let tmp = path.with_extension("ckpt.tmp");
-            faults::fs_write(&tmp, &frame(kind, fingerprint, payload))?;
-            faults::fs_rename(&tmp, path)
+            let bytes = frame(kind, fingerprint, payload);
+            if let Some(inj) = &self.faults {
+                inj.write(&self.dir, &tmp, &bytes)?;
+                inj.rename(&self.dir, &tmp, path)
+            } else {
+                fs::write(&tmp, &bytes)?;
+                fs::rename(&tmp, path)
+            }
         })();
         if let Err(e) = result {
             phaselab_obs::counter_add("checkpoint.write_errors", phaselab_obs::Class::Timing, 1);
@@ -854,7 +874,7 @@ impl CheckpointStore {
     /// before the file is classified as corruption-and-recompute.
     const READ_RETRIES: u32 = 3;
 
-    fn read(path: &Path, kind: u8, fingerprint: u64) -> Option<Vec<u8>> {
+    fn read(&self, path: &Path, kind: u8, fingerprint: u64) -> Option<Vec<u8>> {
         let mut last_err: Option<CheckpointError> = None;
         for attempt in 0..=Self::READ_RETRIES {
             if attempt > 0 {
@@ -864,7 +884,11 @@ impl CheckpointStore {
                     1,
                 );
             }
-            let bytes = match faults::fs_read(path) {
+            let read = match &self.faults {
+                Some(inj) => inj.read(&self.dir, path),
+                None => fs::read(path),
+            };
+            let bytes = match read {
                 Ok(b) => b,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {
@@ -911,7 +935,7 @@ impl CheckpointStore {
     ) {
         let path = self.benchmark_path(fingerprint, suite, name);
         match encode_bench_outcome(outcome) {
-            Ok(payload) => Self::write(&path, KIND_BENCH, fingerprint, &payload),
+            Ok(payload) => self.write(&path, KIND_BENCH, fingerprint, &payload),
             Err(e) => warn_skip(&path, &e),
         }
     }
@@ -925,7 +949,7 @@ impl CheckpointStore {
         name: &str,
     ) -> Option<BenchOutcome> {
         let path = self.benchmark_path(fingerprint, suite, name);
-        let Some(payload) = Self::read(&path, KIND_BENCH, fingerprint) else {
+        let Some(payload) = self.read(&path, KIND_BENCH, fingerprint) else {
             record_lookup(false);
             return None;
         };
@@ -948,7 +972,7 @@ impl CheckpointStore {
     pub fn store_clustering(&self, fingerprint: u64, restart: usize, clustering: &Clustering) {
         let path = self.clustering_path(fingerprint, restart);
         match encode_clustering(clustering) {
-            Ok(payload) => Self::write(&path, KIND_CLUSTERING, fingerprint, &payload),
+            Ok(payload) => self.write(&path, KIND_CLUSTERING, fingerprint, &payload),
             Err(e) => warn_skip(&path, &e),
         }
     }
@@ -957,7 +981,7 @@ impl CheckpointStore {
     /// unusable (warned, never fatal).
     pub fn load_clustering(&self, fingerprint: u64, restart: usize) -> Option<Clustering> {
         let path = self.clustering_path(fingerprint, restart);
-        let Some(payload) = Self::read(&path, KIND_CLUSTERING, fingerprint) else {
+        let Some(payload) = self.read(&path, KIND_CLUSTERING, fingerprint) else {
             record_lookup(false);
             return None;
         };
@@ -1314,6 +1338,74 @@ mod tests {
             clustering_fingerprint(&kcfg, &m1),
             clustering_fingerprint(&kcfg.clone().with_seed(1), &m1)
         );
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// A plan that injects every write- and read-lane fault kind except
+    /// crashes, often enough that a few operations show several.
+    const REPLAY_PLAN: &str = "seed=5,torn=0.3,enospc=0.2,rename=0.2,eintr=0.3,shortread=0.3";
+
+    /// Per round: (load succeeded, bytes on disk).
+    type Rounds = Vec<(bool, Option<u64>)>;
+
+    /// Two rounds of store-then-load on each named slot, in order;
+    /// returns each slot's rounds, sorted by slot name.
+    fn replay_outcomes(store: &CheckpointStore, slots: &[&str]) -> Vec<(String, Rounds)> {
+        let mut seen: Vec<(String, Rounds)> =
+            slots.iter().map(|s| (s.to_string(), Vec::new())).collect();
+        for _round in 0..2 {
+            for (name, rounds) in &mut seen {
+                let c = sample_characterization();
+                store.store_benchmark(3, Suite::Bmw, name, &BenchOutcome::Characterized(c));
+                let loaded = store.load_benchmark(3, Suite::Bmw, name).is_some();
+                let on_disk = fs::metadata(store.benchmark_path(3, Suite::Bmw, name))
+                    .ok()
+                    .map(|m| m.len());
+                rounds.push((loaded, on_disk));
+            }
+        }
+        seen.sort();
+        seen
+    }
+
+    fn injected(store: &CheckpointStore) -> u64 {
+        store.faults.as_ref().expect("armed").injected()
+    }
+
+    #[test]
+    fn fault_decisions_do_not_depend_on_the_store_directory() {
+        let plan = FaultPlan::parse(REPLAY_PLAN).expect("valid plan");
+        let slots: Vec<String> = (0..8).map(|i| format!("slot-{i}")).collect();
+        let slots: Vec<&str> = slots.iter().map(String::as_str).collect();
+        let a = temp_store("replay-dir-a").with_faults(plan.clone());
+        let b = temp_store("replay-dir-b-elsewhere").with_faults(plan);
+        let seen = replay_outcomes(&a, &slots);
+        assert_eq!(seen, replay_outcomes(&b, &slots));
+        assert_eq!(injected(&a), injected(&b));
+        assert!(injected(&a) > 0, "the plan must inject something");
+        let rounds = || seen.iter().flat_map(|(_, r)| r);
+        assert!(rounds().any(|&(loaded, _)| loaded));
+        assert!(rounds().any(|&(loaded, _)| !loaded));
+        let _ = fs::remove_dir_all(a.dir());
+        let _ = fs::remove_dir_all(b.dir());
+    }
+
+    #[test]
+    fn fault_decisions_do_not_depend_on_the_order_of_slots() {
+        // One directory for both orders, so only the order differs.
+        let plan = FaultPlan::parse(REPLAY_PLAN).expect("valid plan");
+        let ab = temp_store("replay-order").with_faults(plan.clone());
+        let seen = replay_outcomes(&ab, &["slot-a", "slot-b"]);
+        let ba = temp_store("replay-order").with_faults(plan);
+        assert_eq!(seen, replay_outcomes(&ba, &["slot-b", "slot-a"]));
+        assert_eq!(injected(&ab), injected(&ba));
+        assert!(injected(&ab) > 0, "the plan must inject something");
+        let _ = fs::remove_dir_all(ba.dir());
     }
 
     /// Existing stores are keyed by these fingerprints; a change to any

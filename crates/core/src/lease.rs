@@ -40,6 +40,8 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use phaselab_par::CancelToken;
 
+use crate::checkpoint::Fnv;
+
 /// Default lease time-to-live, overridable via `PHASELAB_LEASE_TTL_MS`.
 const DEFAULT_TTL_MS: u64 = 30_000;
 
@@ -190,13 +192,11 @@ fn mint_token(shard: u32) -> u64 {
     let nanos = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_nanos() as u64);
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for v in [u64::from(std::process::id()), nanos, u64::from(shard)] {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    Fnv::new()
+        .u64(u64::from(std::process::id()))
+        .u64(nanos)
+        .u64(u64::from(shard))
+        .0
 }
 
 /// Atomically replaces the lease file with `info` (unique temporary

@@ -3,52 +3,29 @@
 //! must all degrade to warn-and-recompute — never a panic, never a
 //! frame a reader mistakes for valid data.
 //!
-//! The injector is process-global (it models a faulty filesystem, not
-//! a faulty caller), so every test here holds one mutex from its first
-//! store operation to its last and disarms before returning, even on
-//! panic.
+//! Each test faults only its own store handle, writing through a
+//! handle armed with a plan and checking repair through a clean handle
+//! of the same directory, so the tests run in parallel.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-use phaselab::core::faults::{self, FaultPlan};
+use phaselab::core::faults::FaultPlan;
 use phaselab::core::{BenchCharacterization, BenchOutcome, CheckpointStore};
 use phaselab::mica::{FeatureVector, NUM_FEATURES};
 use phaselab::Suite;
-
-/// Serializes the tests in this file: the fault injector is global
-/// state, and a test arming a plan would fault every store operation
-/// another test makes meanwhile — its setup writes and its checks after
-/// disarming included.
-static INJECTOR_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes the file's lock for the rest of the calling test.
-fn serial() -> MutexGuard<'static, ()> {
-    INJECTOR_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A guard that disarms the injector when dropped, so a failing
-/// assertion in one test cannot leak faults into the next. Arming
-/// requires holding the lock.
-struct Armed;
-
-impl Armed {
-    fn new(_serial: &MutexGuard<'static, ()>, spec: &str) -> Armed {
-        faults::arm(FaultPlan::parse(spec).expect("valid spec"));
-        Armed
-    }
-}
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        faults::disarm();
-    }
-}
 
 fn temp_store(tag: &str) -> (CheckpointStore, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("phaselab-chaos-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::open(&dir).expect("store opens");
     (store, dir)
+}
+
+/// A second handle on the store in `dir`, with `spec`'s faults injected
+/// into its I/O.
+fn faulty(dir: &std::path::Path, spec: &str) -> CheckpointStore {
+    let plan = FaultPlan::parse(spec).expect("valid spec");
+    CheckpointStore::open(dir)
+        .expect("store opens")
+        .with_faults(plan)
 }
 
 fn outcome(marker: f64) -> BenchOutcome {
@@ -71,17 +48,16 @@ fn first_value(out: &BenchOutcome) -> f64 {
 
 #[test]
 fn torn_writes_never_surface_as_valid_data() {
-    let serial = serial();
     let (store, dir) = temp_store("torn");
     let fp = 0xFEED;
     {
-        let _armed = Armed::new(&serial, "seed=3,torn=1.0");
+        let store = faulty(&dir, "seed=3,torn=1.0");
         store.store_benchmark(fp, Suite::Bmw, "torn-bench", &outcome(1.0));
         // Every write was torn: the loader must classify the prefix as
         // damage and recompute, not decode garbage.
         assert!(store.load_benchmark(fp, Suite::Bmw, "torn-bench").is_none());
     }
-    // Disarmed, the same slot repairs cleanly.
+    // Through the clean handle, the same slot repairs cleanly.
     store.store_benchmark(fp, Suite::Bmw, "torn-bench", &outcome(2.0));
     let loaded = store
         .load_benchmark(fp, Suite::Bmw, "torn-bench")
@@ -92,11 +68,10 @@ fn torn_writes_never_surface_as_valid_data() {
 
 #[test]
 fn enospc_leaves_no_file_behind() {
-    let serial = serial();
     let (store, dir) = temp_store("enospc");
     let fp = 0xD15C;
     {
-        let _armed = Armed::new(&serial, "seed=5,enospc=1.0");
+        let store = faulty(&dir, "seed=5,enospc=1.0");
         store.store_benchmark(fp, Suite::Bmw, "full-disk", &outcome(1.0));
         assert!(store.load_benchmark(fp, Suite::Bmw, "full-disk").is_none());
     }
@@ -109,11 +84,10 @@ fn enospc_leaves_no_file_behind() {
 
 #[test]
 fn failed_renames_are_recovered_after_disarm() {
-    let serial = serial();
     let (store, dir) = temp_store("rename");
     let fp = 0x4E4E;
     {
-        let _armed = Armed::new(&serial, "seed=9,rename=1.0");
+        let store = faulty(&dir, "seed=9,rename=1.0");
         store.store_benchmark(fp, Suite::Bmw, "rn", &outcome(1.0));
         assert!(store.load_benchmark(fp, Suite::Bmw, "rn").is_none());
     }
@@ -127,14 +101,13 @@ fn failed_renames_are_recovered_after_disarm() {
 
 #[test]
 fn eintr_storm_exhausts_the_retry_budget_gracefully() {
-    let serial = serial();
     let (store, dir) = temp_store("eintr");
     let fp = 0xE1;
     store.store_benchmark(fp, Suite::Bmw, "eintr", &outcome(1.0));
     {
         // Every read is interrupted, forever: the bounded retry loop
         // must give up and classify the slot as recompute, not spin.
-        let _armed = Armed::new(&serial, "seed=11,eintr=1.0");
+        let store = faulty(&dir, "seed=11,eintr=1.0");
         assert!(store.load_benchmark(fp, Suite::Bmw, "eintr").is_none());
     }
     // The file itself was never damaged; it loads once the storm ends.
@@ -147,14 +120,13 @@ fn eintr_storm_exhausts_the_retry_budget_gracefully() {
 
 #[test]
 fn bounded_retries_outlast_a_bounded_eintr_burst() {
-    let serial = serial();
     let (store, dir) = temp_store("eintr-burst");
     let fp = 0xE2;
     store.store_benchmark(fp, Suite::Bmw, "burst", &outcome(7.0));
     {
         // Two injected EINTRs, then the filesystem behaves: the retry
         // loop (budget 3) must ride out the burst and return the data.
-        let _armed = Armed::new(&serial, "seed=13,eintr=1.0,max=2");
+        let store = faulty(&dir, "seed=13,eintr=1.0,max=2");
         let loaded = store
             .load_benchmark(fp, Suite::Bmw, "burst")
             .expect("retries outlast the burst");
@@ -165,12 +137,11 @@ fn bounded_retries_outlast_a_bounded_eintr_burst() {
 
 #[test]
 fn short_reads_are_retried_then_classified_as_damage() {
-    let serial = serial();
     let (store, dir) = temp_store("shortread");
     let fp = 0x5404;
     store.store_benchmark(fp, Suite::Bmw, "sr", &outcome(4.0));
     {
-        let _armed = Armed::new(&serial, "seed=17,shortread=1.0");
+        let store = faulty(&dir, "seed=17,shortread=1.0");
         assert!(store.load_benchmark(fp, Suite::Bmw, "sr").is_none());
     }
     // A short read truncates the returned bytes, not the file.
@@ -183,13 +154,12 @@ fn short_reads_are_retried_then_classified_as_damage() {
 
 #[test]
 fn mixed_low_probability_chaos_converges_to_a_full_store() {
-    let serial = serial();
     let (store, dir) = temp_store("mixed");
     let fp = 0x1357;
     let names: Vec<String> = (0..16).map(|i| format!("bench-{i}")).collect();
     {
-        let _armed = Armed::new(
-            &serial,
+        let store = faulty(
+            &dir,
             "seed=21,torn=0.3,enospc=0.2,rename=0.2,eintr=0.2,shortread=0.2",
         );
         // Write-until-readable, exactly the study's recompute loop: a
