@@ -168,9 +168,9 @@ const EXPERIMENTS: &[&str] = &[
     "all",
 ];
 
-/// Experiments that read [`StudyResult::features`], the raw
-/// interval-by-feature matrix `--streaming` deliberately does not
-/// retain.
+/// Experiments that read raw feature rows
+/// ([`StudyResult::feature_row`]), which `--streaming` deliberately does
+/// not retain.
 const STREAMING_INCOMPATIBLE: &[&str] = &["fig1", "fig23", "motivation", "all"];
 
 const USAGE: &str = "usage: repro [options] <experiment>
@@ -1483,7 +1483,7 @@ fn fig1(r: &StudyResult) {
         println!("(study too small for figure 1)");
         return;
     }
-    let rep_matrix = r.features.select_rows(&rep_rows);
+    let rep_matrix = r.feature_rows(&rep_rows);
     let fitness = DistanceCorrelationFitness::new(&rep_matrix, r.config.pca_sd_threshold);
     let score = |mask: &[bool]| fitness.score(mask);
 
@@ -1762,7 +1762,7 @@ fn motivation(r: &StudyResult) {
             .iter()
             .enumerate()
             .filter(|(_, s)| s.bench == bench_idx)
-            .map(|(row, _)| r.features.get(row, mem_read))
+            .map(|(row, _)| r.feature_row(row)[mem_read])
             .collect();
         if vals.is_empty() {
             continue;

@@ -31,15 +31,20 @@ pub enum SamplingPolicy {
 /// fingerprint — a reducer can never mix outcomes across modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalysisMode {
-    /// Materialize the sampled interval-by-feature matrix in RAM (the
-    /// default). Required by the experiments that read raw feature rows
-    /// after the study (kiviat plots, per-feature figures).
+    /// Keep the raw feature row of each distinct sampled interval in RAM
+    /// (the default), once however often it was drawn, with a `u32` per
+    /// sampled row naming its stored row. Required by the experiments
+    /// that read raw feature rows after the study (kiviat plots,
+    /// per-feature figures) through
+    /// [`StudyResult::feature_row`](crate::StudyResult::feature_row).
     #[default]
     InRam,
     /// Stream rows out of the checkpoint store one benchmark at a time;
     /// peak analysis memory is O(features²) + O(rows × retained
     /// components), never O(rows × features). Requires a checkpoint
-    /// store; [`StudyResult::features`](crate::StudyResult) stays empty.
+    /// store; the study keeps no raw feature rows, so
+    /// [`StudyResult::feature_row`](crate::StudyResult::feature_row)
+    /// panics.
     Streaming,
 }
 

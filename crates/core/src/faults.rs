@@ -11,8 +11,8 @@
 //! [`CheckpointStore::with_faults`](crate::CheckpointStore::with_faults),
 //! or from the `PHASELAB_FAULTS` environment variable when it is
 //! opened) routes its reads, writes, and renames through its own
-//! [`Injector`](crate::faults::Injector). Chaos tests then exercise exactly the code paths that
-//! mangle-scripts only hit by luck. The injector is per store handle
+//! crate-private injector. Chaos tests then exercise exactly the code
+//! paths that mangle-scripts only hit by luck. The injector is per store handle
 //! (clones share it); nothing here is process-global, so stores with
 //! different plans coexist in one process.
 //!
@@ -224,7 +224,7 @@ impl FaultPlan {
 /// `PHASELAB_FAULTS`, and routes its reads, writes and renames through
 /// it.
 #[derive(Debug)]
-pub struct Injector {
+pub(crate) struct Injector {
     plan: FaultPlan,
     /// Operations made so far on each store-relative path.
     ops: Mutex<HashMap<PathBuf, u64>>,
@@ -240,7 +240,7 @@ fn slot<'a>(root: &Path, path: &'a Path) -> &'a Path {
 impl Injector {
     /// Creates an injector for the given plan with no operations
     /// counted yet.
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         Injector {
             plan,
             ops: Mutex::new(HashMap::new()),
@@ -249,7 +249,8 @@ impl Injector {
     }
 
     /// Total faults this injector has injected so far.
-    pub fn injected(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
 

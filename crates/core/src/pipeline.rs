@@ -1,12 +1,15 @@
 //! Steps 2–5: the study pipeline.
 //!
 //! The analysis stage (normalization → PCA → clustering input) runs in
-//! one of two memory modes (see [`AnalysisMode`]): the default in-RAM
-//! mode materializes the sampled interval-by-feature matrix, while the
-//! streaming mode replays feature rows out of the checkpoint store
-//! through one-pass accumulators and never holds the matrix at all.
-//! Both modes execute the same accumulator arithmetic over the same
-//! rows in the same order, so their results are **bit-identical**.
+//! one of two memory modes (see [`AnalysisMode`]). The default in-RAM
+//! mode keeps the raw feature row of each *distinct* sampled interval
+//! once, plus an index from every sampled row to its distinct row: a
+//! benchmark with fewer intervals than `samples_per_benchmark` is topped
+//! up with repeat draws, and a repeat costs one `u32`, not 69 features.
+//! The streaming mode replays feature rows out of the checkpoint store
+//! and holds none. Both modes feed every sampled row, in sampled order,
+//! through the same one-pass accumulators, and both project each
+//! distinct interval once, so their results are **bit-identical**.
 //!
 //! On top of the streaming mode sits a multi-process protocol:
 //! [`run_shard`] workers characterize disjoint slices of the benchmark
@@ -16,7 +19,7 @@
 //! single VM instruction.
 
 use phaselab_ga::{select_features, DistanceCorrelationFitness};
-use phaselab_mica::{feature_names, NUM_FEATURES};
+use phaselab_mica::{feature_names, FxHashMap, NUM_FEATURES};
 use phaselab_par::{effective_threads, parallel_map_cancellable, CancelToken};
 use phaselab_stats::{
     distance_sq, kmeans_restart, normalize_columns, pick_best_clustering, Clustering, ColumnStats,
@@ -59,7 +62,7 @@ impl BenchmarkRun {
 }
 
 /// One sampled interval: a row of the study's data matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SampledInterval {
     /// Index into [`StudyResult::benchmarks`].
     pub bench: usize,
@@ -72,6 +75,13 @@ pub struct SampledInterval {
 /// Everything a study produces: the characterized and sampled data set,
 /// the clustering, the prominent phases and the GA-selected key
 /// characteristics.
+///
+/// An in-RAM study keeps the raw features of each distinct sampled
+/// interval once; [`feature_row`](Self::feature_row) and
+/// [`feature_rows`](Self::feature_rows) read them by sampled row. A
+/// streaming study keeps none, and those accessors panic. Everything
+/// derived from the rows ([`space`](Self::space), the clustering, the
+/// key characteristics) is present and bit-identical in both modes.
 #[derive(Debug, Clone)]
 pub struct StudyResult {
     /// The configuration the study ran with.
@@ -85,15 +95,11 @@ pub struct StudyResult {
     pub quarantined: Vec<QuarantinedBenchmark>,
     /// The sampled intervals, one per data-matrix row.
     pub sampled: Vec<SampledInterval>,
-    /// Raw 69-characteristic features of the sampled intervals.
-    ///
-    /// **Empty (zero rows) when the study ran with
-    /// [`AnalysisMode::Streaming`]** — not materializing this matrix is
-    /// the whole point of that mode. Everything derived from it
-    /// ([`space`](Self::space), the clustering, the key
-    /// characteristics) is still present and bit-identical to the
-    /// in-RAM run's.
-    pub features: Matrix,
+    /// Raw 69-characteristic features of each distinct sampled interval,
+    /// in first-draw order. Zero rows in streaming mode.
+    rows: Matrix,
+    /// Sampled row → its row of `rows`. Empty in streaming mode.
+    row_of: Vec<u32>,
     /// The rescaled PCA space of the sampled intervals (what the
     /// clustering ran on).
     pub space: Matrix,
@@ -130,34 +136,59 @@ impl StudyResult {
         self.sampled[row].bench
     }
 
+    /// The raw 69-characteristic features of sampled row `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the study ran with [`AnalysisMode::Streaming`], which
+    /// does not retain raw feature rows, or if `row` is out of range.
+    pub fn feature_row(&self, row: usize) -> &[f64] {
+        self.rows.row(self.raw_index()[row] as usize)
+    }
+
+    /// The raw features of the given sampled rows, one matrix row each,
+    /// in the given order.
+    ///
+    /// # Panics
+    ///
+    /// As [`feature_row`](Self::feature_row).
+    pub fn feature_rows(&self, rows: &[usize]) -> Matrix {
+        gather(&self.rows, self.raw_index(), rows)
+    }
+
+    fn raw_index(&self) -> &[u32] {
+        assert_eq!(
+            self.row_of.len(),
+            self.sampled.len(),
+            "raw feature rows are not retained by streaming analysis"
+        );
+        &self.row_of
+    }
+
     /// Kiviat axes for one prominent phase: the phase representative's
     /// key-characteristic values against population statistics.
     ///
-    /// The mean and standard deviation come from [`ColumnStats::of`] —
-    /// the same sample statistics (`/(n-1)`) the pipeline's
-    /// normalization and PCA report — so the kiviat `sd` rings match the
-    /// normalization scale of the rest of the study.
+    /// The mean and standard deviation are the study's own first
+    /// normalization ([`feature_norm`](Self::feature_norm)), the sample
+    /// statistics (`/(n-1)`) its PCA ran on, so the kiviat `sd` rings
+    /// match the normalization scale of the rest of the study. The
+    /// minimum and maximum fold over every sampled row in sampled order.
     ///
     /// # Panics
     ///
     /// Panics when the study ran with [`AnalysisMode::Streaming`]: the
-    /// raw feature matrix this reads was deliberately not retained.
+    /// raw feature rows this reads were deliberately not retained.
     pub fn kiviat_axes(&self, phase: &ProminentPhase) -> Vec<KiviatAxis> {
-        assert_eq!(
-            self.features.rows(),
-            self.sampled.len(),
-            "kiviat axes need the raw feature matrix, which streaming analysis does not retain"
-        );
         let names = feature_names();
-        let rep = self.features.row(phase.representative_row);
-        let stats = ColumnStats::of(&self.features);
+        let row_of = self.raw_index();
+        let rep = self.rows.row(row_of[phase.representative_row] as usize);
         self.key_characteristics
             .iter()
             .map(|&feat| {
-                let col = self.features.column(feat);
-                let min = col.iter().copied().fold(f64::INFINITY, f64::min);
-                let max = col.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let (mean, sd) = stats.column(feat);
+                let col = row_of.iter().map(|&d| self.rows.get(d as usize, feat));
+                let min = col.clone().fold(f64::INFINITY, f64::min);
+                let max = col.fold(f64::NEG_INFINITY, f64::max);
+                let (mean, sd) = self.feature_norm.column(feat);
                 KiviatAxis {
                     feature: feat,
                     name: names[feat],
@@ -436,17 +467,22 @@ pub fn run_study_with_resumable(
         sampled.len() as f64,
     );
 
-    let features = if streaming {
+    // The in-RAM mode copies each distinct sampled interval's row once
+    // and lets the characterizations go; repeat draws share the row.
+    let (row_of, first_draws) = distinct_draws(&sampled);
+    let rows = if streaming {
         Matrix::zeros(0, NUM_FEATURES)
     } else {
-        let mut m = Matrix::zeros(sampled.len(), NUM_FEATURES);
-        for (r, s) in sampled.iter().enumerate() {
-            m.row_mut(r).copy_from_slice(
+        let mut m = Matrix::zeros(first_draws.len(), NUM_FEATURES);
+        for (d, &r) in first_draws.iter().enumerate() {
+            let s = sampled[r];
+            m.row_mut(d).copy_from_slice(
                 characterizations[s.bench].per_input[s.input][s.interval].as_slice(),
             );
         }
         m
     };
+    drop(characterizations);
 
     // Step 3: normalize -> PCA (retain sd > threshold) -> normalize,
     // as three one-pass sweeps over the sampled rows. Both row sources
@@ -475,35 +511,40 @@ pub fn run_study_with_resumable(
                     }
                     Ok(())
                 },
-                sampled.len(),
+                &row_of,
+                &first_draws,
                 cfg.pca_sd_threshold,
             )?
         } else {
             analyze_streamed(
                 &mut |sink| {
-                    for (r, row) in features.iter_rows().enumerate() {
-                        sink(r, row);
+                    for (r, &d) in row_of.iter().enumerate() {
+                        sink(r, rows.row(d as usize));
                     }
                     Ok(())
                 },
-                sampled.len(),
+                &row_of,
+                &first_draws,
                 cfg.pca_sd_threshold,
             )?
         };
     let (space, score_norm) = normalize_columns(&scores);
     drop(analysis_span);
+    // Only the in-RAM rows are read through the index after analysis.
+    let row_of = if streaming { Vec::new() } else { row_of };
     if phaselab_obs::enabled() {
         use phaselab_obs::Class::{Structural, Timing};
         phaselab_obs::gauge_set("pca.pcs_retained", Structural, pcs_retained as f64);
         phaselab_obs::gauge_set("pca.variance_explained", Structural, variance_explained);
         // Peak analysis-stage matrix footprint, in f64 cells: the raw
-        // feature matrix (in-RAM) or the covariance accumulator
-        // (streaming), plus the retained-component scores both modes
-        // keep. Timing-class: it differs across modes by design.
+        // rows of the distinct sampled intervals (in-RAM) or the
+        // covariance accumulator (streaming), plus the retained-component
+        // scores of every sampled row, which both modes keep.
+        // Timing-class: it differs across modes by design.
         let held = if streaming {
             NUM_FEATURES * NUM_FEATURES
         } else {
-            sampled.len() * NUM_FEATURES
+            rows.rows() * NUM_FEATURES
         };
         phaselab_obs::gauge_set(
             "analysis.matrix_cells_peak",
@@ -550,7 +591,7 @@ pub fn run_study_with_resumable(
             }
             Matrix::from_rows(&rows)
         } else {
-            features.select_rows(&rep_rows)
+            gather(&rows, &row_of, &rep_rows)
         };
         let fitness = DistanceCorrelationFitness::new(&rep_matrix, cfg.pca_sd_threshold);
         let mut ga_cfg = cfg.ga.clone();
@@ -572,7 +613,8 @@ pub fn run_study_with_resumable(
         benchmarks,
         quarantined,
         sampled,
-        features,
+        rows,
+        row_of,
         space,
         pcs_retained,
         variance_explained,
@@ -804,6 +846,32 @@ fn benchmark_run(
     }
 }
 
+/// Numbers the distinct intervals of `sampled` in first-draw order.
+/// Returns each sampled row's distinct interval and each distinct
+/// interval's first sampled row.
+fn distinct_draws(sampled: &[SampledInterval]) -> (Vec<u32>, Vec<usize>) {
+    let mut number: FxHashMap<SampledInterval, u32> = FxHashMap::default();
+    let mut first_draws = Vec::new();
+    let row_of = sampled
+        .iter()
+        .enumerate()
+        .map(|(r, s)| {
+            *number.entry(*s).or_insert_with(|| {
+                first_draws.push(r);
+                u32::try_from(first_draws.len() - 1).expect("distinct intervals fit in u32")
+            })
+        })
+        .collect();
+    (row_of, first_draws)
+}
+
+/// The rows of `rows` that the sampled rows `sampled_rows` map to
+/// through `row_of`, in the given order.
+fn gather(rows: &Matrix, row_of: &[u32], sampled_rows: &[usize]) -> Matrix {
+    let distinct: Vec<usize> = sampled_rows.iter().map(|&r| row_of[r] as usize).collect();
+    rows.select_rows(&distinct)
+}
+
 /// The shared three-pass streaming analysis: Welford column statistics
 /// over the raw rows, a running covariance over the normalized rows,
 /// and a projection pass building the retained-component scores. The
@@ -811,11 +879,16 @@ fn benchmark_run(
 /// sampled rows; every mode's sweep feeds these identical accumulators,
 /// so every mode's output is bit-identical.
 ///
+/// `row_of` and `first_draws` come from [`distinct_draws`]. The
+/// projection pass projects only first draws and copies the score row
+/// to each repeat draw: the same projection of the same row.
+///
 /// Holds O(features²) accumulator state plus the `rows × retained`
 /// score matrix — never `rows × features`.
 fn analyze_streamed<F>(
     for_each: &mut F,
-    n_rows: usize,
+    row_of: &[u32],
+    first_draws: &[usize],
     sd_threshold: f64,
 ) -> Result<(ColumnStats, Pca, usize, f64, Matrix), StudyError>
 where
@@ -839,11 +912,18 @@ where
 
     // Pass 3: retained-component scores (the clustering's input, after
     // one more normalization by the caller).
-    let mut scores = Matrix::zeros(n_rows, pcs_retained);
+    let mut scores = Matrix::zeros(row_of.len(), pcs_retained);
     let mut scratch2 = vec![0.0f64; NUM_FEATURES];
+    let mut repeat = vec![0.0f64; pcs_retained];
     for_each(&mut |r, row| {
-        feature_norm.apply_row(row, &mut scratch2);
-        pca.transform_row(&scratch2, scores.row_mut(r));
+        let first = first_draws[row_of[r] as usize];
+        if first == r {
+            feature_norm.apply_row(row, &mut scratch2);
+            pca.transform_row(&scratch2, scores.row_mut(r));
+        } else {
+            repeat.copy_from_slice(scores.row(first));
+            scores.row_mut(r).copy_from_slice(&repeat);
+        }
     })?;
 
     Ok((feature_norm, pca, pcs_retained, variance_explained, scores))
@@ -1305,8 +1385,9 @@ mod tests {
         assert_eq!(r.benchmarks.len(), 12); // 5 BMW + 7 MediaBench II
         assert!(r.quarantined.is_empty(), "bundled workloads never fault");
         assert_eq!(r.sampled.len(), 12 * r.config.samples_per_benchmark);
-        assert_eq!(r.features.rows(), r.sampled.len());
-        assert_eq!(r.features.cols(), NUM_FEATURES);
+        assert_eq!(r.row_of.len(), r.sampled.len());
+        assert!(r.rows.rows() <= r.sampled.len());
+        assert_eq!(r.rows.cols(), NUM_FEATURES);
         assert!(r.pcs_retained >= 1);
         assert!(r.variance_explained > 0.5);
         assert!(!r.prominent.is_empty());
@@ -1374,6 +1455,59 @@ mod tests {
         }
         assert_eq!(fast[0].1, 1, "first row on the centroid");
         assert_eq!(fast[1].1, 0, "first of four rows at distance 1");
+    }
+
+    #[test]
+    fn repeat_draws_share_one_stored_row() {
+        // More samples than any benchmark has intervals: every benchmark
+        // is topped up with repeat draws.
+        let mut cfg = StudyConfig::smoke();
+        cfg.suites = Some(vec![Suite::Bmw]);
+        cfg.samples_per_benchmark = 200;
+        let benches: Vec<Benchmark> = catalog()
+            .into_iter()
+            .filter(|b| b.suite() == Suite::Bmw)
+            .collect();
+        let r = run_study_with(&cfg, &benches).expect("study");
+        let chars: Vec<BenchCharacterization> = benches
+            .iter()
+            .map(|b| crate::characterize_benchmark(b, &cfg).expect("no fault"))
+            .collect();
+        for c in &chars {
+            let intervals: usize = c.per_input.iter().map(Vec::len).sum();
+            assert!(
+                intervals < cfg.samples_per_benchmark,
+                "{intervals} intervals"
+            );
+        }
+        assert_eq!(r.sampled.len(), benches.len() * cfg.samples_per_benchmark);
+        assert!(
+            r.rows.rows() < r.sampled.len(),
+            "{} distinct rows for {} sampled",
+            r.rows.rows(),
+            r.sampled.len()
+        );
+        let distinct: std::collections::HashSet<_> = r.sampled.iter().collect();
+        assert_eq!(r.rows.rows(), distinct.len());
+        for (row, s) in r.sampled.iter().enumerate() {
+            let want = chars[s.bench].per_input[s.input][s.interval].as_slice();
+            assert_eq!(r.feature_row(row), want, "row {row}");
+        }
+        let all: Vec<usize> = (0..r.sampled.len()).collect();
+        let gathered = r.feature_rows(&all);
+        for row in all {
+            assert_eq!(gathered.row(row), r.feature_row(row), "row {row}");
+        }
+    }
+
+    #[test]
+    fn feature_norm_is_the_column_stats_of_the_sampled_rows() {
+        let r = smoke_result();
+        let all: Vec<usize> = (0..r.sampled.len()).collect();
+        let of = ColumnStats::of(&r.feature_rows(&all));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&r.feature_norm().means), bits(&of.means));
+        assert_eq!(bits(&r.feature_norm().stds), bits(&of.stds));
     }
 
     #[test]

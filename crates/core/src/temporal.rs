@@ -180,8 +180,8 @@ mod tests {
         // Projecting a study's own sampled rows must land them in their
         // own clusters.
         let (r, _) = study_and_catalog();
-        for row in (0..r.features.rows()).step_by(7) {
-            let (cluster, _) = r.classify(r.features.row(row));
+        for row in (0..r.sampled.len()).step_by(7) {
+            let (cluster, _) = r.classify(r.feature_row(row));
             assert_eq!(
                 cluster, r.clustering.assignments[row],
                 "row {row} classified into a different cluster"

@@ -15,9 +15,8 @@ fn study_internal_consistency() {
     let r = study();
 
     // Every sampled row indexes a real characterized interval.
-    assert_eq!(r.features.rows(), r.sampled.len());
-    assert_eq!(r.features.cols(), NUM_FEATURES);
-    for s in &r.sampled {
+    for (row, s) in r.sampled.iter().enumerate() {
+        assert_eq!(r.feature_row(row).len(), NUM_FEATURES);
         let b = &r.benchmarks[s.bench];
         assert!(s.input < b.intervals_per_input.len());
         assert!(s.interval < b.intervals_per_input[s.input]);
@@ -71,8 +70,8 @@ fn analyses_are_mutually_consistent() {
 fn feature_values_are_physically_plausible() {
     let r = study();
     let names = phaselab::feature_names();
-    for row in 0..r.features.rows() {
-        let f = r.features.row(row);
+    for row in 0..r.sampled.len() {
+        let f = r.feature_row(row);
         for (i, &v) in f.iter().enumerate() {
             assert!(v.is_finite(), "feature {} not finite", names[i]);
         }

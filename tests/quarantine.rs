@@ -6,7 +6,13 @@
 use phaselab::workloads::Suite;
 use phaselab::{
     run_study_with, Asm, Benchmark, DataBuilder, Program, Scale, StudyConfig, StudyError,
+    StudyResult,
 };
+
+/// Every sampled row's raw features, read through the accessor.
+fn feature_rows(r: &StudyResult) -> Vec<&[f64]> {
+    (0..r.sampled.len()).map(|row| r.feature_row(row)).collect()
+}
 
 /// A program that loads from far outside any data segment: the bad
 /// address travels through memory, so the static verifier (which does
@@ -126,7 +132,7 @@ fn quarantine_leaves_survivor_results_untouched() {
         let with_fault = run_study_with(&cfg, &benches).expect("study completes");
 
         assert_eq!(with_fault.sampled, clean.sampled);
-        assert_eq!(with_fault.features, clean.features);
+        assert_eq!(feature_rows(&with_fault), feature_rows(&clean));
         assert_eq!(
             with_fault.clustering.assignments,
             clean.clustering.assignments
@@ -210,7 +216,7 @@ fn runaway_benchmark_is_quarantined_and_survivors_are_bit_identical() {
         assert!(q.to_string().contains("ran away"), "{q}");
 
         assert_eq!(r.sampled, clean.sampled);
-        assert_eq!(r.features, clean.features);
+        assert_eq!(feature_rows(&r), feature_rows(&clean));
         assert_eq!(r.clustering.assignments, clean.clustering.assignments);
         assert_eq!(r.key_characteristics, clean.key_characteristics);
     }
@@ -227,7 +233,7 @@ fn unarmed_watchdog_never_quarantines_healthy_benchmarks() {
     let armed = run_study_with(&armed_cfg, &healthy_benches()).expect("study");
     assert!(armed.quarantined.is_empty());
     assert_eq!(armed.sampled, unarmed.sampled);
-    assert_eq!(armed.features, unarmed.features);
+    assert_eq!(feature_rows(&armed), feature_rows(&unarmed));
     assert_eq!(armed.clustering.assignments, unarmed.clustering.assignments);
 }
 
@@ -252,7 +258,7 @@ fn static_preflight_leaves_results_bit_identical() {
             "a sound derived budget tripped"
         );
         assert_eq!(r_on.sampled, r_off.sampled);
-        assert_eq!(r_on.features, r_off.features);
+        assert_eq!(feature_rows(&r_on), feature_rows(&r_off));
         assert_eq!(r_on.clustering.assignments, r_off.clustering.assignments);
         assert_eq!(r_on.key_characteristics, r_off.key_characteristics);
         assert_eq!(
@@ -320,7 +326,7 @@ fn mid_study_quarantine_is_static_preflight_invariant() {
             .collect::<Vec<_>>()
     );
     assert_eq!(r_on.sampled, r_off.sampled);
-    assert_eq!(r_on.features, r_off.features);
+    assert_eq!(feature_rows(&r_on), feature_rows(&r_off));
     assert_eq!(r_on.clustering.assignments, r_off.clustering.assignments);
     assert_eq!(r_on.key_characteristics, r_off.key_characteristics);
 }

@@ -6,11 +6,13 @@
 //! correctness.
 
 use std::fs;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use phaselab::core::{BenchOutcome, CheckpointStore};
 use phaselab::{
     run_shard, run_study, run_study_resumable, AnalysisMode, StudyConfig, StudyResult, Suite,
+    NUM_FEATURES,
 };
 
 fn temp_store(tag: &str) -> (CheckpointStore, PathBuf) {
@@ -76,22 +78,23 @@ fn assert_bit_identical(a: &StudyResult, b: &StudyResult) {
 #[test]
 fn streaming_matches_in_ram_bitwise_across_threads() {
     let baseline = run_study(&base_config()).expect("in-RAM study");
-    assert_eq!(
-        baseline.features.rows(),
-        baseline.sampled.len(),
-        "in-RAM mode keeps the feature matrix"
-    );
+    for row in 0..baseline.sampled.len() {
+        // In-RAM mode keeps every sampled row's raw features.
+        assert_eq!(baseline.feature_row(row).len(), NUM_FEATURES, "row {row}");
+    }
     for threads in [1usize, 2, 4] {
         let (store, dir) = temp_store(&format!("t{threads}"));
         let mut cfg = base_config();
         cfg.analysis = AnalysisMode::Streaming;
         cfg.threads = threads;
         let streamed = run_study_resumable(&cfg, Some(&store), None).expect("streaming study");
-        assert_eq!(
-            streamed.features.rows(),
-            0,
-            "streaming mode must not retain the feature matrix"
-        );
+        for row in 0..streamed.sampled.len() {
+            let read = panic::catch_unwind(AssertUnwindSafe(|| streamed.feature_row(row).len()));
+            assert!(
+                read.is_err(),
+                "streaming mode must not retain row {row}'s features"
+            );
+        }
         assert_bit_identical(&baseline, &streamed);
         let _ = fs::remove_dir_all(&dir);
     }
