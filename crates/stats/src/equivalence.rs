@@ -11,7 +11,8 @@
 //! and duplicated columns. k-means keeps its unpruned loop as the public
 //! [`kmeans_reference`]; the bounded, neighbour-list [`kmeans`] must
 //! match it on integer grids, where duplicate rows, equal distances,
-//! coincident centroids and empty clusters are the rule.
+//! coincident centroids and empty clusters are the rule, and on rows
+//! drawn with replacement from a small pool, where most rows repeat.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -264,6 +265,59 @@ fn integer_grid(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
     m
 }
 
+/// `n` rows drawn with replacement from a pool of `pool` continuous
+/// rows, so most rows repeat. Some columns mix `0.0` and `-0.0` with
+/// continuous values: rows that differ only in a zero's sign are
+/// different bit patterns at the same point.
+fn repeat_draws(rng: &mut StdRng, n: usize, pool: usize, cols: usize) -> Matrix {
+    let signed_zeros: Vec<bool> = (0..cols)
+        .map(|c| c > 0 && rng.random_range(0..2u32) == 0)
+        .collect();
+    let mut distinct = Matrix::zeros(pool, cols);
+    for r in 0..pool {
+        for (v, &zeros) in distinct.row_mut(r).iter_mut().zip(&signed_zeros) {
+            *v = match (zeros, rng.random_range(0..3u32)) {
+                (true, 0) => 0.0,
+                (true, 1) => -0.0,
+                _ => rng.random_range(-1.0..1.0),
+            };
+        }
+    }
+    let mut m = Matrix::zeros(n, cols);
+    for r in 0..n {
+        let src = rng.random_range(0..pool);
+        m.row_mut(r).copy_from_slice(distinct.row(src));
+    }
+    m
+}
+
+fn check_kmeans(m: &Matrix, cfg: &KmeansConfig) -> Result<(), String> {
+    let want = kmeans_reference(m, cfg);
+    for threads in [1usize, 2, 4] {
+        let got = kmeans(m, &cfg.clone().with_threads(threads));
+        prop_assert_eq!(&got.assignments, &want.assignments, "threads = {}", threads);
+        prop_assert_eq!(&got.sizes, &want.sizes, "threads = {}", threads);
+        prop_assert!(
+            same_matrix(&got.centroids, &want.centroids),
+            "centroids differ at threads = {}",
+            threads
+        );
+        prop_assert_eq!(
+            got.inertia.to_bits(),
+            want.inertia.to_bits(),
+            "threads = {}",
+            threads
+        );
+        prop_assert_eq!(
+            got.bic.to_bits(),
+            want.bic.to_bits(),
+            "threads = {}",
+            threads
+        );
+    }
+    Ok(())
+}
+
 fn check_jacobi(m: &Matrix) -> Result<(), String> {
     let (fast, slow) = (jacobi_eigen(m), reference_jacobi(m));
     prop_assert!(
@@ -366,14 +420,25 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = integer_grid(&mut rng, n, cols);
         let cfg = KmeansConfig::new(k.min(n)).with_restarts(restarts).with_seed(seed);
-        let want = kmeans_reference(&m, &cfg);
-        for threads in [1usize, 2, 4] {
-            let got = kmeans(&m, &cfg.clone().with_threads(threads));
-            prop_assert_eq!(&got.assignments, &want.assignments, "threads = {}", threads);
-            prop_assert_eq!(&got.sizes, &want.sizes, "threads = {}", threads);
-            prop_assert!(same_matrix(&got.centroids, &want.centroids), "centroids differ at threads = {}", threads);
-            prop_assert_eq!(got.inertia.to_bits(), want.inertia.to_bits(), "threads = {}", threads);
-            prop_assert_eq!(got.bic.to_bits(), want.bic.to_bits(), "threads = {}", threads);
-        }
+        check_kmeans(&m, &cfg)?;
+    }
+
+    #[test]
+    fn equivalence_kmeans_repeat_draws(
+        seed in 0u64..u64::MAX,
+        cols in 1usize..5,
+        n in 600usize..3000,
+        pool in 20usize..400,
+        k_pick in 0usize..1000,
+        restarts in 1usize..3,
+    ) {
+        // The study's shape: far fewer distinct rows than rows, spread
+        // over several assignment chunks. k runs past the pool size, so
+        // some restarts keep clusters empty and re-seed them from copies.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = repeat_draws(&mut rng, n, pool, cols);
+        let k = 1 + k_pick % (pool + 16);
+        let cfg = KmeansConfig::new(k).with_restarts(restarts).with_seed(seed);
+        check_kmeans(&m, &cfg)?;
     }
 }
