@@ -302,6 +302,12 @@ impl Registry {
         inner.stage = name.to_string();
     }
 
+    /// Records `kb` as stage `name`'s RSS reading.
+    #[cfg(test)]
+    pub(crate) fn set_stage_rss(&self, name: &str, kb: u64) {
+        self.lock().stage_rss.insert(name.to_string(), kb);
+    }
+
     /// Returns the current stage name (empty if never set).
     pub fn stage(&self) -> String {
         self.lock().stage.clone()

@@ -4,7 +4,8 @@
 Checks the schema version, the presence and types of every required
 section, the config keys the determinism contract promises, and basic
 internal consistency (histogram bucket counts sum to the recorded
-count, span timings are non-negative). With `--emit-bench PATH` it
+count, span timings are non-negative, the process peak RSS is at least
+every stage's RSS reading). With `--emit-bench PATH` it
 also distills the headline performance figures into a one-line JSON
 document suitable for CI tracking.
 
@@ -142,6 +143,15 @@ def validate(manifest):
     for key, ty in REQUIRED_TIMING_KEYS.items():
         if not isinstance(timings.get(key), ty):
             fail(f"timings missing or mistyped key `{key}`")
+    # The process peak bounds every stage's reading: a stage cannot end
+    # above the high-water mark of the process it ran in.
+    peak = timings["peak_rss_kb"]
+    for stage, kb in timings["stage_rss_kb"].items():
+        if kb > peak:
+            fail(
+                f"timings.peak_rss_kb {peak} is below "
+                f"timings.stage_rss_kb.{stage} {kb}"
+            )
     for path, span in timings["spans"].items():
         for key in ("calls", "total_ms", "self_ms"):
             if key not in span:
