@@ -1999,13 +1999,13 @@ fn simpoints(r: &StudyResult) {
 /// similar benchmarks adjacent.
 fn similarity(r: &StudyResult) {
     println!("\n== Benchmark similarity (companion-methodology view) ==\n");
-    let dims = r.space.cols();
+    let dims = r.space().cols();
     let nb = r.benchmarks.len();
     let mut sums = vec![vec![0.0; dims]; nb];
     let mut counts = vec![0usize; nb];
     for (row, s) in r.sampled.iter().enumerate() {
         counts[s.bench] += 1;
-        for (a, &v) in sums[s.bench].iter_mut().zip(r.space.row(row)) {
+        for (a, &v) in sums[s.bench].iter_mut().zip(r.space().row(row)) {
             *a += v;
         }
     }
@@ -2101,12 +2101,12 @@ fn similarity(r: &StudyResult) {
 fn drift(r: &StudyResult) {
     println!("\n== Benchmark drift: CPU2000 -> CPU2006 carried-over codes ==\n");
     // Mean position of each benchmark in the rescaled PCA space.
-    let dims = r.space.cols();
+    let dims = r.space().cols();
     let mut sums = vec![vec![0.0; dims]; r.benchmarks.len()];
     let mut counts = vec![0usize; r.benchmarks.len()];
     for (row, s) in r.sampled.iter().enumerate() {
         counts[s.bench] += 1;
-        for (a, &v) in sums[s.bench].iter_mut().zip(r.space.row(row)) {
+        for (a, &v) in sums[s.bench].iter_mut().zip(r.space().row(row)) {
             *a += v;
         }
     }
@@ -2179,9 +2179,9 @@ fn ablation_k(r: &StudyResult) {
     let n_prominent = r.config.n_prominent;
     let mut rows = Vec::new();
     for mult in [1.0_f64, 2.0, 3.0, 4.0] {
-        let k = ((n_prominent as f64 * mult) as usize).min(r.space.rows());
+        let k = ((n_prominent as f64 * mult) as usize).min(r.space().rows());
         let clustering = kmeans(
-            &r.space,
+            r.space(),
             &KmeansConfig::new(k)
                 .with_restarts(r.config.kmeans_restarts)
                 .with_max_iters(r.config.kmeans_max_iters)
@@ -2192,7 +2192,7 @@ fn ablation_k(r: &StudyResult) {
         // within-cluster variance.
         let mut order: Vec<usize> = (0..k).collect();
         order.sort_by(|&a, &b| clustering.sizes[b].cmp(&clustering.sizes[a]));
-        let total = r.space.rows() as f64;
+        let total = r.space().rows() as f64;
         let covered: usize = order
             .iter()
             .take(n_prominent)
@@ -2204,7 +2204,7 @@ fn ablation_k(r: &StudyResult) {
         let mut n = 0usize;
         for (row, &c) in clustering.assignments.iter().enumerate() {
             if prominent.contains(&c) {
-                sq += phaselab_stats::distance_sq(r.space.row(row), clustering.centroids.row(c));
+                sq += phaselab_stats::distance_sq(r.space().row(row), clustering.centroids.row(c));
                 n += 1;
             }
         }

@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use phaselab_mica::{FeatureVector, FEATURE_REVISION, NUM_FEATURES};
-use phaselab_stats::{Clustering, KmeansConfig, Matrix};
+use phaselab_stats::{Clustering, KmeansConfig, Matrix, Rows};
 use phaselab_vm::{VerifyError, VmError};
 use phaselab_workloads::{Scale, Suite};
 
@@ -161,13 +161,16 @@ pub enum BenchOutcome {
 }
 
 // ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
+// CRC32 (IEEE 802.3, polynomial 0xEDB88320), slicing-by-8.
 
-/// The CRC of each byte value, fixed at compile time.
-static CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0][b]` is the CRC of byte value `b`;
+/// `CRC32_TABLES[k][b]` is the CRC of `b` followed by `k` zero bytes,
+/// so eight lookups advance the CRC over eight bytes at once. Fixed at
+/// compile time.
+static CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
-    while i < table.len() {
+    while i < 256 {
         let mut c = i as u32;
         let mut bit = 0;
         while bit < 8 {
@@ -178,16 +181,54 @@ static CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
+/// The CRC32 of `bytes`: eight bytes per step, then the tail bytewise.
+/// The same checksum as the bytewise loop (`crc32_bytewise`, kept as the
+/// test oracle).
 fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let byte = |word: u32, shift: u32| ((word >> shift) & 0xFF) as usize;
+    let mut c = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// The one-byte-per-step table loop [`crc32`] must match.
+#[cfg(test)]
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -269,12 +310,14 @@ pub fn characterization_fingerprint(cfg: &StudyConfig) -> u64 {
 
 /// Fingerprint of everything that determines one k-means restart:
 /// format version, k, the iteration cap, the clustering seed, and the
-/// exact bits of the matrix being clustered.
+/// exact bits of the rows being clustered, in row order. An
+/// [`IndexedRows`](phaselab_stats::IndexedRows) space hashes as its
+/// expansion: the key depends on the rows, not on how they are stored.
 ///
 /// Thread and restart counts are excluded — neither changes what
 /// restart `r` computes, so a deeper-restart rerun reuses the restarts
 /// it shares with a shallower one.
-pub fn clustering_fingerprint(cfg: &KmeansConfig, space: &Matrix) -> u64 {
+pub fn clustering_fingerprint(cfg: &KmeansConfig, space: &impl Rows) -> u64 {
     let mut h = Fnv::new();
     h.u64(VERSION as u64)
         .u64(cfg.k as u64)
@@ -285,8 +328,8 @@ pub fn clustering_fingerprint(cfg: &KmeansConfig, space: &Matrix) -> u64 {
         .u64(0)
         .u64(space.rows() as u64)
         .u64(space.cols() as u64);
-    for row in space.iter_rows() {
-        for &v in row {
+    for r in 0..space.rows() {
+        for &v in space.row(r) {
             h.u64(v.to_bits());
         }
     }
@@ -1341,9 +1384,49 @@ mod tests {
     }
 
     #[test]
+    fn indexed_space_fingerprints_as_its_expansion() {
+        // Distinct rows 0 and 2 share bits; row order is what counts.
+        let distinct = Matrix::from_rows(&[vec![1.0, -0.0], vec![0.5, 2.0], vec![1.0, -0.0]]);
+        let space = phaselab_stats::IndexedRows::new(distinct, vec![1, 0, 2, 1, 0]);
+        let kcfg = KmeansConfig::new(2);
+        let want = clustering_fingerprint(&kcfg, &space.expand());
+        assert_eq!(clustering_fingerprint(&kcfg, &space), want);
+        assert_eq!(clustering_fingerprint(&kcfg, &space.by_bits()), want);
+        let reordered = space.with_distinct(Matrix::from_rows(&[
+            vec![0.5, 2.0],
+            vec![1.0, -0.0],
+            vec![1.0, -0.0],
+        ]));
+        assert_ne!(clustering_fingerprint(&kcfg, &reordered), want);
+    }
+
+    #[test]
     fn crc32_matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_loop() {
+        // Random payloads of every length from 0 to 4,100 bytes, read
+        // from each of the 8 start offsets into one buffer, so the
+        // eight-byte steps start at every alignment and leave every
+        // tail length.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC3C32);
+        let buf: Vec<u8> = (0..4_100 + 8)
+            .map(|_| rng.random_range(0..256u16) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=4_100 {
+                let payload = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(payload),
+                    crc32_bytewise(payload),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
     }
 
     /// A plan that injects every write- and read-lane fault kind except

@@ -1,15 +1,17 @@
 //! Steps 2–5: the study pipeline.
 //!
 //! The analysis stage (normalization → PCA → clustering input) runs in
-//! one of two memory modes (see [`AnalysisMode`]). The default in-RAM
-//! mode keeps the raw feature row of each *distinct* sampled interval
-//! once, plus an index from every sampled row to its distinct row: a
-//! benchmark with fewer intervals than `samples_per_benchmark` is topped
-//! up with repeat draws, and a repeat costs one `u32`, not 69 features.
-//! The streaming mode replays feature rows out of the checkpoint store
-//! and holds none. Both modes feed every sampled row, in sampled order,
-//! through the same one-pass accumulators, and both project each
-//! distinct interval once, so their results are **bit-identical**.
+//! one of two memory modes (see [`AnalysisMode`]). Every table of the
+//! stage is an [`IndexedRows`]: one row per *distinct* sampled interval
+//! plus an index from every sampled row to its distinct row. A benchmark
+//! with fewer intervals than `samples_per_benchmark` is topped up with
+//! repeat draws, and a repeat costs one `u32`, not a row. The default
+//! in-RAM mode keeps the raw feature rows that way; the streaming mode
+//! replays them out of the checkpoint store and holds none. Both modes
+//! feed every sampled row, in sampled order, through the same one-pass
+//! accumulators and project and rescale each distinct interval once, so
+//! their results are **bit-identical**. The PC scores, the rescaled
+//! space and the k-means input share the one index.
 //!
 //! On top of the streaming mode sits a multi-process protocol:
 //! [`run_shard`] workers characterize disjoint slices of the benchmark
@@ -18,12 +20,14 @@
 //! already checkpointed and runs the analysis without executing a
 //! single VM instruction.
 
+use std::sync::Arc;
+
 use phaselab_ga::{select_features, DistanceCorrelationFitness};
 use phaselab_mica::{feature_names, FxHashMap, NUM_FEATURES};
 use phaselab_par::{effective_threads, parallel_map_cancellable, CancelToken};
 use phaselab_stats::{
-    distance_sq, kmeans_restart, normalize_columns, pick_best_clustering, Clustering, ColumnStats,
-    KmeansConfig, Matrix, Pca, RunningColumnStats, RunningCovariance,
+    distance_sq, kmeans_restart, normalize_indexed, pick_best_clustering, Clustering, ColumnStats,
+    IndexedRows, KmeansConfig, Matrix, Pca, Rows, RunningColumnStats, RunningCovariance,
 };
 use phaselab_workloads::{catalog, Benchmark, Suite};
 
@@ -82,6 +86,7 @@ pub struct SampledInterval {
 /// streaming study keeps none, and those accessors panic. Everything
 /// derived from the rows ([`space`](Self::space), the clustering, the
 /// key characteristics) is present and bit-identical in both modes.
+/// The space, too, holds one row per distinct sampled interval.
 #[derive(Debug, Clone)]
 pub struct StudyResult {
     /// The configuration the study ran with.
@@ -95,14 +100,13 @@ pub struct StudyResult {
     pub quarantined: Vec<QuarantinedBenchmark>,
     /// The sampled intervals, one per data-matrix row.
     pub sampled: Vec<SampledInterval>,
-    /// Raw 69-characteristic features of each distinct sampled interval,
-    /// in first-draw order. Zero rows in streaming mode.
-    rows: Matrix,
-    /// Sampled row → its row of `rows`. Empty in streaming mode.
-    row_of: Vec<u32>,
-    /// The rescaled PCA space of the sampled intervals (what the
-    /// clustering ran on).
-    pub space: Matrix,
+    /// Raw 69-characteristic features of the sampled rows, one stored
+    /// row per distinct interval in first-draw order. `None` in
+    /// streaming mode.
+    features: Option<IndexedRows>,
+    /// The rescaled PCA space of the sampled rows (what the clustering
+    /// ran on), sharing the index of `features`.
+    space: IndexedRows,
     /// Number of principal components retained.
     pub pcs_retained: usize,
     /// Fraction of total variance the retained components explain.
@@ -143,7 +147,7 @@ impl StudyResult {
     /// Panics when the study ran with [`AnalysisMode::Streaming`], which
     /// does not retain raw feature rows, or if `row` is out of range.
     pub fn feature_row(&self, row: usize) -> &[f64] {
-        self.rows.row(self.raw_index()[row] as usize)
+        self.raw().row(row)
     }
 
     /// The raw features of the given sampled rows, one matrix row each,
@@ -153,16 +157,20 @@ impl StudyResult {
     ///
     /// As [`feature_row`](Self::feature_row).
     pub fn feature_rows(&self, rows: &[usize]) -> Matrix {
-        gather(&self.rows, self.raw_index(), rows)
+        self.raw().select_rows(rows)
     }
 
-    fn raw_index(&self) -> &[u32] {
-        assert_eq!(
-            self.row_of.len(),
-            self.sampled.len(),
-            "raw feature rows are not retained by streaming analysis"
-        );
-        &self.row_of
+    fn raw(&self) -> &IndexedRows {
+        self.features
+            .as_ref()
+            .expect("raw feature rows are not retained by streaming analysis")
+    }
+
+    /// The rescaled PCA space, one row per sampled row (what the
+    /// clustering ran on), stored once per distinct sampled interval.
+    /// Row `r` is sampled row `r`'s point.
+    pub fn space(&self) -> &IndexedRows {
+        &self.space
     }
 
     /// Kiviat axes for one prominent phase: the phase representative's
@@ -180,14 +188,16 @@ impl StudyResult {
     /// raw feature rows this reads were deliberately not retained.
     pub fn kiviat_axes(&self, phase: &ProminentPhase) -> Vec<KiviatAxis> {
         let names = feature_names();
-        let row_of = self.raw_index();
-        let rep = self.rows.row(row_of[phase.representative_row] as usize);
+        let features = self.raw();
+        let rep = features.row(phase.representative_row);
         self.key_characteristics
             .iter()
             .map(|&feat| {
-                let col = row_of.iter().map(|&d| self.rows.get(d as usize, feat));
-                let min = col.clone().fold(f64::INFINITY, f64::min);
-                let max = col.fold(f64::NEG_INFINITY, f64::max);
+                let (min, max) = features
+                    .iter_rows()
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(min, max), row| {
+                        (min.min(row[feat]), max.max(row[feat]))
+                    });
                 let (mean, sd) = self.feature_norm.column(feat);
                 KiviatAxis {
                     feature: feat,
@@ -461,18 +471,21 @@ pub fn run_study_with_resumable(
     if sampled.is_empty() {
         return Err(AnalysisError::NoIntervalsSampled.into());
     }
-    phaselab_obs::gauge_set(
-        "sampling.rows",
-        phaselab_obs::Class::Structural,
-        sampled.len() as f64,
-    );
-
-    // The in-RAM mode copies each distinct sampled interval's row once
-    // and lets the characterizations go; repeat draws share the row.
+    // Every table from here on keeps one row per distinct sampled
+    // interval. The in-RAM mode copies each one's raw row once and lets
+    // the characterizations go; repeat draws share the row.
     let (row_of, first_draws) = distinct_draws(&sampled);
-    let rows = if streaming {
-        Matrix::zeros(0, NUM_FEATURES)
-    } else {
+    if phaselab_obs::enabled() {
+        use phaselab_obs::Class::Structural;
+        phaselab_obs::gauge_set("sampling.rows", Structural, sampled.len() as f64);
+        phaselab_obs::gauge_set(
+            "sampling.distinct_rows",
+            Structural,
+            first_draws.len() as f64,
+        );
+    }
+    let index: Arc<[u32]> = row_of.into();
+    let features = (!streaming).then(|| {
         let mut m = Matrix::zeros(first_draws.len(), NUM_FEATURES);
         for (d, &r) in first_draws.iter().enumerate() {
             let s = sampled[r];
@@ -480,8 +493,8 @@ pub fn run_study_with_resumable(
                 characterizations[s.bench].per_input[s.input][s.interval].as_slice(),
             );
         }
-        m
-    };
+        IndexedRows::new(m, Arc::clone(&index))
+    });
     drop(characterizations);
 
     // Step 3: normalize -> PCA (retain sd > threshold) -> normalize,
@@ -511,27 +524,28 @@ pub fn run_study_with_resumable(
                     }
                     Ok(())
                 },
-                &row_of,
+                &index,
                 &first_draws,
                 cfg.pca_sd_threshold,
             )?
         } else {
+            let features = features.as_ref().expect("in-RAM rows");
             analyze_streamed(
                 &mut |sink| {
-                    for (r, &d) in row_of.iter().enumerate() {
-                        sink(r, rows.row(d as usize));
+                    for (r, row) in features.iter_rows().enumerate() {
+                        sink(r, row);
                     }
                     Ok(())
                 },
-                &row_of,
+                &index,
                 &first_draws,
                 cfg.pca_sd_threshold,
             )?
         };
-    let (space, score_norm) = normalize_columns(&scores);
+    let scores = IndexedRows::new(scores, index);
+    let (space, score_norm) = normalize_indexed(&scores);
+    drop(scores);
     drop(analysis_span);
-    // Only the in-RAM rows are read through the index after analysis.
-    let row_of = if streaming { Vec::new() } else { row_of };
     if phaselab_obs::enabled() {
         use phaselab_obs::Class::{Structural, Timing};
         phaselab_obs::gauge_set("pca.pcs_retained", Structural, pcs_retained as f64);
@@ -539,17 +553,19 @@ pub fn run_study_with_resumable(
         // Peak analysis-stage matrix footprint, in f64 cells: the raw
         // rows of the distinct sampled intervals (in-RAM) or the
         // covariance accumulator (streaming), plus the retained-component
-        // scores of every sampled row, which both modes keep.
-        // Timing-class: it differs across modes by design.
+        // scores and the rescaled space, both one row per distinct
+        // interval, which both modes hold while the space is rescaled.
+        // The `u32` row index is not a cell. Timing-class: it differs
+        // across modes by design.
         let held = if streaming {
             NUM_FEATURES * NUM_FEATURES
         } else {
-            rows.rows() * NUM_FEATURES
+            first_draws.len() * NUM_FEATURES
         };
         phaselab_obs::gauge_set(
             "analysis.matrix_cells_peak",
             Timing,
-            (held + sampled.len() * pcs_retained) as f64,
+            (held + 2 * first_draws.len() * pcs_retained) as f64,
         );
     }
 
@@ -591,7 +607,10 @@ pub fn run_study_with_resumable(
             }
             Matrix::from_rows(&rows)
         } else {
-            gather(&rows, &row_of, &rep_rows)
+            features
+                .as_ref()
+                .expect("in-RAM rows")
+                .select_rows(&rep_rows)
         };
         let fitness = DistanceCorrelationFitness::new(&rep_matrix, cfg.pca_sd_threshold);
         let mut ga_cfg = cfg.ga.clone();
@@ -613,8 +632,7 @@ pub fn run_study_with_resumable(
         benchmarks,
         quarantined,
         sampled,
-        rows,
-        row_of,
+        features,
         space,
         pcs_retained,
         variance_explained,
@@ -865,13 +883,6 @@ fn distinct_draws(sampled: &[SampledInterval]) -> (Vec<u32>, Vec<usize>) {
     (row_of, first_draws)
 }
 
-/// The rows of `rows` that the sampled rows `sampled_rows` map to
-/// through `row_of`, in the given order.
-fn gather(rows: &Matrix, row_of: &[u32], sampled_rows: &[usize]) -> Matrix {
-    let distinct: Vec<usize> = sampled_rows.iter().map(|&r| row_of[r] as usize).collect();
-    rows.select_rows(&distinct)
-}
-
 /// The shared three-pass streaming analysis: Welford column statistics
 /// over the raw rows, a running covariance over the normalized rows,
 /// and a projection pass building the retained-component scores. The
@@ -880,10 +891,12 @@ fn gather(rows: &Matrix, row_of: &[u32], sampled_rows: &[usize]) -> Matrix {
 /// so every mode's output is bit-identical.
 ///
 /// `row_of` and `first_draws` come from [`distinct_draws`]. The
-/// projection pass projects only first draws and copies the score row
-/// to each repeat draw: the same projection of the same row.
+/// projection pass projects only first draws, into one score row per
+/// distinct interval: a repeat draw is the same projection of the same
+/// row. The scores come back as those distinct rows, to be read through
+/// `row_of`.
 ///
-/// Holds O(features²) accumulator state plus the `rows × retained`
+/// Holds O(features²) accumulator state plus the `distinct × retained`
 /// score matrix — never `rows × features`.
 fn analyze_streamed<F>(
     for_each: &mut F,
@@ -912,17 +925,12 @@ where
 
     // Pass 3: retained-component scores (the clustering's input, after
     // one more normalization by the caller).
-    let mut scores = Matrix::zeros(row_of.len(), pcs_retained);
-    let mut scratch2 = vec![0.0f64; NUM_FEATURES];
-    let mut repeat = vec![0.0f64; pcs_retained];
+    let mut scores = Matrix::zeros(first_draws.len(), pcs_retained);
     for_each(&mut |r, row| {
-        let first = first_draws[row_of[r] as usize];
-        if first == r {
-            feature_norm.apply_row(row, &mut scratch2);
-            pca.transform_row(&scratch2, scores.row_mut(r));
-        } else {
-            repeat.copy_from_slice(scores.row(first));
-            scores.row_mut(r).copy_from_slice(&repeat);
+        let d = row_of[r] as usize;
+        if first_draws[d] == r {
+            feature_norm.apply_row(row, &mut scratch);
+            pca.transform_row(&scratch, scores.row_mut(d));
         }
     })?;
 
@@ -1211,7 +1219,7 @@ fn outcome_matches(outcome: &BenchOutcome, bench: &Benchmark) -> bool {
 /// each restart is reloaded from the store when present and persisted
 /// when computed.
 fn cluster_resumable(
-    space: &Matrix,
+    space: &IndexedRows,
     kcfg: &KmeansConfig,
     store: Option<&CheckpointStore>,
     token: &CancelToken,
@@ -1221,6 +1229,8 @@ fn cluster_resumable(
     let outer = threads.min(restarts);
     let inner = (threads / outer).max(1);
     let fingerprint = store.map(|_| clustering_fingerprint(kcfg, space));
+    // Grouped by bits once for every restart, as `kmeans` does.
+    let points = space.by_bits();
     let indices: Vec<usize> = (0..restarts).collect();
     let candidates = parallel_map_cancellable(&indices, outer, token, |&r| {
         use phaselab_obs::Class::Timing;
@@ -1233,7 +1243,7 @@ fn cluster_resumable(
             }
             phaselab_obs::counter_add("checkpoint.clustering.misses", Timing, 1);
         }
-        let c = kmeans_restart(space, kcfg, r, inner);
+        let c = kmeans_restart(&points, kcfg, r, inner);
         if let (Some(s), Some(fp)) = (store, fingerprint) {
             s.store_clustering(fp, r, &c);
         }
@@ -1247,7 +1257,7 @@ fn cluster_resumable(
 /// each with its representative and benchmark composition.
 fn prominent_phases(
     clustering: &Clustering,
-    space: &Matrix,
+    space: &IndexedRows,
     sampled: &[SampledInterval],
     benchmarks: &[BenchmarkRun],
     cfg: &StudyConfig,
@@ -1335,7 +1345,7 @@ fn prominent_phases(
 /// distance wins a tie.
 fn members_and_representatives(
     clustering: &Clustering,
-    space: &Matrix,
+    space: &impl Rows,
     clusters: &[usize],
 ) -> Vec<(Vec<usize>, usize)> {
     let mut slot = vec![usize::MAX; clustering.k()];
@@ -1385,9 +1395,11 @@ mod tests {
         assert_eq!(r.benchmarks.len(), 12); // 5 BMW + 7 MediaBench II
         assert!(r.quarantined.is_empty(), "bundled workloads never fault");
         assert_eq!(r.sampled.len(), 12 * r.config.samples_per_benchmark);
-        assert_eq!(r.row_of.len(), r.sampled.len());
-        assert!(r.rows.rows() <= r.sampled.len());
-        assert_eq!(r.rows.cols(), NUM_FEATURES);
+        let features = r.features.as_ref().expect("in-RAM rows");
+        assert_eq!(features.rows(), r.sampled.len());
+        assert!(features.distinct().rows() <= r.sampled.len());
+        assert_eq!(features.cols(), NUM_FEATURES);
+        assert_eq!(r.space.index(), features.index());
         assert!(r.pcs_retained >= 1);
         assert!(r.variance_explained > 0.5);
         assert!(!r.prominent.is_empty());
@@ -1481,14 +1493,15 @@ mod tests {
             );
         }
         assert_eq!(r.sampled.len(), benches.len() * cfg.samples_per_benchmark);
+        let stored = r.features.as_ref().expect("in-RAM rows").distinct().rows();
         assert!(
-            r.rows.rows() < r.sampled.len(),
-            "{} distinct rows for {} sampled",
-            r.rows.rows(),
+            stored < r.sampled.len(),
+            "{stored} distinct rows for {} sampled",
             r.sampled.len()
         );
         let distinct: std::collections::HashSet<_> = r.sampled.iter().collect();
-        assert_eq!(r.rows.rows(), distinct.len());
+        assert_eq!(stored, distinct.len());
+        assert_eq!(r.space.distinct().rows(), distinct.len());
         for (row, s) in r.sampled.iter().enumerate() {
             let want = chars[s.bench].per_input[s.input][s.interval].as_slice();
             assert_eq!(r.feature_row(row), want, "row {row}");

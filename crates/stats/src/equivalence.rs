@@ -12,15 +12,17 @@
 //! [`kmeans_reference`]; the bounded, neighbour-list [`kmeans`] must
 //! match it on integer grids, where duplicate rows, equal distances,
 //! coincident centroids and empty clusters are the rule, and on rows
-//! drawn with replacement from a small pool, where most rows repeat.
+//! drawn with replacement from a small pool, where most rows repeat,
+//! given both as an [`IndexedRows`] and as its expansion.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use crate::{
-    jacobi_eigen, kmeans, kmeans_reference, normalize_columns, pearson, CenteredSample,
-    ColumnStats, EigenDecomposition, KmeansConfig, Matrix, Pca, RunningCovariance,
+    jacobi_eigen, kmeans, kmeans_reference, normalize_columns, pearson, CenteredSample, Clustering,
+    ColumnStats, EigenDecomposition, IndexedRows, KmeansConfig, Matrix, Pca, Rows,
+    RunningCovariance,
 };
 
 // ---------------------------------------------------------------------
@@ -266,15 +268,22 @@ fn integer_grid(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
 }
 
 /// `n` rows drawn with replacement from a pool of `pool` continuous
-/// rows, so most rows repeat. Some columns mix `0.0` and `-0.0` with
-/// continuous values: rows that differ only in a zero's sign are
-/// different bit patterns at the same point.
-fn repeat_draws(rng: &mut StdRng, n: usize, pool: usize, cols: usize) -> Matrix {
+/// rows, so most rows repeat, kept as the pool plus each row's draw.
+/// About one pool row in sixteen copies an earlier pool row's bits, as
+/// two sampled intervals with equal features do. Some columns mix `0.0`
+/// and `-0.0` with continuous values: rows that differ only in a zero's
+/// sign are different bit patterns at the same point.
+fn repeat_draws(rng: &mut StdRng, n: usize, pool: usize, cols: usize) -> IndexedRows {
     let signed_zeros: Vec<bool> = (0..cols)
         .map(|c| c > 0 && rng.random_range(0..2u32) == 0)
         .collect();
     let mut distinct = Matrix::zeros(pool, cols);
     for r in 0..pool {
+        if r > 0 && rng.random_range(0..16u32) == 0 {
+            let twin = distinct.row(rng.random_range(0..r)).to_vec();
+            distinct.row_mut(r).copy_from_slice(&twin);
+            continue;
+        }
         for (v, &zeros) in distinct.row_mut(r).iter_mut().zip(&signed_zeros) {
             *v = match (zeros, rng.random_range(0..3u32)) {
                 (true, 0) => 0.0,
@@ -283,18 +292,15 @@ fn repeat_draws(rng: &mut StdRng, n: usize, pool: usize, cols: usize) -> Matrix 
             };
         }
     }
-    let mut m = Matrix::zeros(n, cols);
-    for r in 0..n {
-        let src = rng.random_range(0..pool);
-        m.row_mut(r).copy_from_slice(distinct.row(src));
-    }
-    m
+    let index: Vec<u32> = (0..n).map(|_| rng.random_range(0..pool as u32)).collect();
+    IndexedRows::new(distinct, index)
 }
 
-fn check_kmeans(m: &Matrix, cfg: &KmeansConfig) -> Result<(), String> {
-    let want = kmeans_reference(m, cfg);
+/// `kmeans` on `data` at threads 1, 2 and 4 against `want`, the
+/// reference clustering of its rows, bit for bit.
+fn check_kmeans(data: &impl Rows, want: &Clustering, cfg: &KmeansConfig) -> Result<(), String> {
     for threads in [1usize, 2, 4] {
-        let got = kmeans(m, &cfg.clone().with_threads(threads));
+        let got = kmeans(data, &cfg.clone().with_threads(threads));
         prop_assert_eq!(&got.assignments, &want.assignments, "threads = {}", threads);
         prop_assert_eq!(&got.sizes, &want.sizes, "threads = {}", threads);
         prop_assert!(
@@ -420,7 +426,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = integer_grid(&mut rng, n, cols);
         let cfg = KmeansConfig::new(k.min(n)).with_restarts(restarts).with_seed(seed);
-        check_kmeans(&m, &cfg)?;
+        check_kmeans(&m, &kmeans_reference(&m, &cfg), &cfg)?;
     }
 
     #[test]
@@ -435,10 +441,15 @@ proptest! {
         // The study's shape: far fewer distinct rows than rows, spread
         // over several assignment chunks. k runs past the pool size, so
         // some restarts keep clusters empty and re-seed them from copies.
+        // The indexed form and its expansion both match the reference
+        // on the expansion.
         let mut rng = StdRng::seed_from_u64(seed);
-        let m = repeat_draws(&mut rng, n, pool, cols);
+        let rows = repeat_draws(&mut rng, n, pool, cols);
+        let m = rows.expand();
         let k = 1 + k_pick % (pool + 16);
         let cfg = KmeansConfig::new(k).with_restarts(restarts).with_seed(seed);
-        check_kmeans(&m, &cfg)?;
+        let want = kmeans_reference(&m, &cfg);
+        check_kmeans(&rows, &want, &cfg)?;
+        check_kmeans(&m, &want, &cfg)?;
     }
 }

@@ -17,7 +17,8 @@
 //! seeding, centroid-update and tie-break code is retained for
 //! verification; property tests assert the two agree exactly.
 //!
-//! Each restart first groups the rows by bit pattern: a study that draws
+//! [`kmeans`] groups its rows by bit pattern once ([`Rows::by_bits`])
+//! and hands the grouping to every restart: a study that draws
 //! intervals with replacement clusters many copies of one row. Copies
 //! start from the same seeding state and so take the same state in
 //! every iteration, so seeding updates, bounds, scans and final
@@ -29,13 +30,12 @@
 //! and iterations, and the gauge `kmeans.distinct_rows` gives the number
 //! of distinct rows.
 
+use crate::indexed::{index_u32, IndexedRows, Rows};
 use crate::matrix::Matrix;
 use crate::{distance, distance_sq};
 use phaselab_par::{derive_seed, effective_threads, parallel_map, parallel_map_owned};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Configuration for [`kmeans`].
 #[derive(Debug, Clone, PartialEq)]
@@ -130,7 +130,7 @@ impl Clustering {
     ///
     /// This is the paper's "cluster representative": the instruction
     /// interval nearest the cluster center.
-    pub fn representative_of(&self, data: &Matrix, c: usize) -> Option<usize> {
+    pub fn representative_of(&self, data: &impl Rows, c: usize) -> Option<usize> {
         let centroid = self.centroids.row(c);
         self.assignments
             .iter()
@@ -161,6 +161,10 @@ impl Clustering {
 /// Hamerly-style distance bounds; [`kmeans_reference`] retains the
 /// unpruned loop and produces bit-identical output.
 ///
+/// `data` is a [`Matrix`] or an [`IndexedRows`]; either way its rows are
+/// grouped by bit pattern once, for all restarts, hashing each stored
+/// row once.
+///
 /// # Panics
 ///
 /// Panics if `cfg.k` is zero or exceeds the number of rows, or if the
@@ -182,8 +186,8 @@ impl Clustering {
 /// assert_eq!(clustering.assignments[0], clustering.assignments[1]);
 /// assert_ne!(clustering.assignments[0], clustering.assignments[2]);
 /// ```
-pub fn kmeans(data: &Matrix, cfg: &KmeansConfig) -> Clustering {
-    check_config(data, cfg);
+pub fn kmeans(data: &impl Rows, cfg: &KmeansConfig) -> Clustering {
+    check_config(data.rows(), cfg);
     let restarts = cfg.restarts.max(1);
     let threads = effective_threads(cfg.threads);
     // Restarts parallelize at the outer level; leftover budget goes to
@@ -191,8 +195,9 @@ pub fn kmeans(data: &Matrix, cfg: &KmeansConfig) -> Clustering {
     let outer = threads.min(restarts);
     let inner = (threads / outer).max(1);
 
+    let points = data.by_bits();
     let indices: Vec<usize> = (0..restarts).collect();
-    let candidates = parallel_map(&indices, outer, |&r| kmeans_restart(data, cfg, r, inner));
+    let candidates = parallel_map(&indices, outer, |&r| kmeans_restart(&points, cfg, r, inner));
     pick_best_clustering(candidates).expect("at least one restart ran")
 }
 
@@ -205,21 +210,26 @@ pub fn kmeans(data: &Matrix, cfg: &KmeansConfig) -> Clustering {
 /// `threads` bounds the restart-internal chunk parallelism (0 = all
 /// cores); it never affects the result.
 ///
+/// Each distinct row of `points` is one point of the restart. Pass the
+/// data's [`by_bits`](Rows::by_bits) grouping, built once for all
+/// restarts, as [`kmeans`] does: any other grouping of the same rows
+/// gives the same clustering, with a point per stored row.
+///
 /// # Panics
 ///
 /// Panics if `cfg.k` is zero or exceeds the number of rows, or if the
 /// matrix is empty.
 pub fn kmeans_restart(
-    data: &Matrix,
+    points: &IndexedRows,
     cfg: &KmeansConfig,
     restart: usize,
     threads: usize,
 ) -> Clustering {
-    check_config(data, cfg);
+    check_config(points.rows(), cfg);
     let seed = derive_seed(cfg.seed, restart as u64);
     let _span = phaselab_obs::span!("kmeans.restart", restart);
     let (clustering, stats) = kmeans_single(
-        data,
+        points,
         cfg.k,
         cfg.max_iters,
         seed,
@@ -314,24 +324,25 @@ pub fn pick_best_clustering(candidates: Vec<Clustering>) -> Option<Clustering> {
 /// Panics if `cfg.k` is zero or exceeds the number of rows, or if the
 /// matrix is empty.
 pub fn kmeans_reference(data: &Matrix, cfg: &KmeansConfig) -> Clustering {
-    check_config(data, cfg);
+    check_config(data.rows(), cfg);
     let restarts = cfg.restarts.max(1);
+    // Every row its own point.
+    let points = IndexedRows::from(data.clone());
     let candidates: Vec<Clustering> = (0..restarts)
         .map(|r| {
             let seed = derive_seed(cfg.seed, r as u64);
-            kmeans_single(data, cfg.k, cfg.max_iters, seed, 1, false).0
+            kmeans_single(&points, cfg.k, cfg.max_iters, seed, 1, false).0
         })
         .collect();
     pick_best(candidates)
 }
 
-fn check_config(data: &Matrix, cfg: &KmeansConfig) {
+fn check_config(rows: usize, cfg: &KmeansConfig) {
     assert!(cfg.k > 0, "k must be positive");
     assert!(
-        cfg.k <= data.rows(),
-        "k ({}) exceeds number of points ({})",
+        cfg.k <= rows,
+        "k ({}) exceeds number of points ({rows})",
         cfg.k,
-        data.rows()
     );
 }
 
@@ -357,137 +368,24 @@ const BOUND_SLACK: f64 = 1.0 + 1e-12;
 /// restart) against fallbacks, never against exactness.
 const NEAR: usize = 32;
 
-/// The points one restart works on, each standing for every row with
-/// its bits. The pruned path keys rows on their `to_bits` words, so
-/// copies of a row share one point while `0.0` and `-0.0` stay apart;
-/// the reference path makes every row its own point.
-///
-/// A point's seeding state, bounds, assignment and distances are pure
-/// functions of its bits and of state all its rows share, so every row
-/// of a point would compute them identically: computing them once is
-/// exact. What weighs rows — the k-means++ draws, the cluster sums,
-/// sizes and inertia, the empty-cluster re-seed — still walks all rows
-/// in row order through `of_row`.
-struct Points<'a> {
-    data: &'a Matrix,
-    /// Each point's first row, ascending.
-    first: Vec<u32>,
-    /// Each row's point.
-    of_row: Vec<u32>,
-}
-
-/// A row compared and hashed by its bit pattern.
-struct RowBits<'a>(&'a [f64]);
-
-impl PartialEq for RowBits<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0
-            .iter()
-            .zip(other.0)
-            .all(|(x, y)| x.to_bits() == y.to_bits())
+/// A pass's point moves `(point, from, to)` as one move per row, in
+/// ascending row order: the order the cluster sums apply them in.
+fn row_moves(points: &IndexedRows, moves: &[(usize, usize, usize)]) -> Vec<(usize, usize, usize)> {
+    if moves.is_empty() {
+        return Vec::new();
     }
-}
-
-impl Eq for RowBits<'_> {}
-
-impl Hash for RowBits<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for v in self.0 {
-            state.write_u64(v.to_bits());
-        }
+    let mut slot = vec![u32::MAX; points.distinct().rows()];
+    for (j, &(p, _, _)) in moves.iter().enumerate() {
+        slot[p] = index_u32(j);
     }
-}
-
-/// FxHash's multiply-rotate fold over a row's words, finished with
-/// SplitMix64's mixer so the bucket bits see every word bit (integral
-/// values leave the low mantissa bits zero).
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-impl<'a> Points<'a> {
-    /// One point per distinct row bit pattern, numbered in first-row order.
-    fn distinct(data: &'a Matrix) -> Self {
-        let mut index = HashMap::<_, _, BuildHasherDefault<WordHasher>>::default();
-        let mut first = Vec::new();
-        let mut of_row = Vec::with_capacity(data.rows());
-        for (i, row) in data.iter_rows().enumerate() {
-            let next = index_u32(first.len());
-            let p = *index.entry(RowBits(row)).or_insert(next);
-            if p == next {
-                first.push(index_u32(i));
-            }
-            of_row.push(p);
-        }
-        Points {
-            data,
-            first,
-            of_row,
-        }
-    }
-
-    /// One point per row.
-    fn every(data: &'a Matrix) -> Self {
-        let ids: Vec<u32> = (0..data.rows()).map(index_u32).collect();
-        Points {
-            data,
-            first: ids.clone(),
-            of_row: ids,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.first.len()
-    }
-
-    fn row(&self, p: usize) -> &'a [f64] {
-        self.data.row(self.first[p] as usize)
-    }
-
-    /// Each row's value of a per-point array, in row order.
-    fn per_row<'s, T: Copy>(&'s self, per_point: &'s [T]) -> impl Iterator<Item = T> + 's {
-        self.of_row.iter().map(move |&p| per_point[p as usize])
-    }
-
-    /// A pass's point moves `(point, from, to)` as one move per row, in
-    /// ascending row order: the order the cluster sums apply them in.
-    fn row_moves(&self, moves: &[(usize, usize, usize)]) -> Vec<(usize, usize, usize)> {
-        if moves.is_empty() {
-            return Vec::new();
-        }
-        let mut slot = vec![u32::MAX; self.len()];
-        for (j, &(p, _, _)) in moves.iter().enumerate() {
-            slot[p] = index_u32(j);
-        }
-        self.per_row(&slot)
-            .enumerate()
-            .filter_map(|(i, j)| {
-                let &(_, from, to) = moves.get(j as usize)?;
-                Some((i, from, to))
-            })
-            .collect()
-    }
-}
-
-fn index_u32(i: usize) -> u32 {
-    u32::try_from(i).expect("k-means indexes rows with u32")
+    points
+        .per_row(&slot)
+        .enumerate()
+        .filter_map(|(i, j)| {
+            let &(_, from, to) = moves.get(j as usize)?;
+            Some((i, from, to))
+        })
+        .collect()
 }
 
 /// Per-point scan state of one restart.
@@ -515,47 +413,50 @@ struct RestartStats {
     distinct_rows: u64,
 }
 
-/// One restart: k-means++ seeding, bounded Lloyd iterations, final
-/// scoring. `pruned` selects the bounded fast path; both settings
-/// produce identical output.
+/// One restart over `points`, each distinct row one point: k-means++
+/// seeding, bounded Lloyd iterations, final scoring. A point's seeding
+/// state, bounds, assignment and distances are pure functions of its
+/// bits and of state all its rows share, so every row of a point would
+/// compute them identically: computing them once is exact. What weighs
+/// rows still walks every row in row order. `pruned` selects the
+/// bounded fast path; both settings produce identical output.
 fn kmeans_single(
-    data: &Matrix,
+    points: &IndexedRows,
     k: usize,
     max_iters: usize,
     seed: u64,
     threads: usize,
     pruned: bool,
 ) -> (Clustering, RestartStats) {
-    let n = data.rows();
-    let d = data.cols();
+    let n = points.rows();
+    let d = points.cols();
+    let distinct = points.distinct();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = RestartStats::default();
 
-    // The pruned path works once per distinct row and tracks every
-    // point's nearest seed during k-means++ itself, which makes the
-    // initial assignment pass free; the reference path makes every row
-    // a point, seeds naively and pays for a full initial scan. Both
-    // produce the same centroids and assignments.
-    let (points, mut centroids, mut state) = {
+    // The pruned path tracks every point's nearest seed during k-means++
+    // itself, which makes the initial assignment pass free; the
+    // reference path, whose every row is its own point, seeds naively
+    // and pays for a full initial scan. Both produce the same centroids
+    // and assignments.
+    let (mut centroids, mut state) = {
         let _span = phaselab_obs::span!("kmeans.seed");
         if pruned {
-            let points = Points::distinct(data);
-            let (centroids, state) = seed_centroids_tracked(&points, k, &mut rng);
-            (points, centroids, state)
+            seed_centroids_tracked(points, k, &mut rng)
         } else {
-            let points = Points::every(data);
-            let centroids = seed_centroids(data, k, &mut rng);
+            let m = distinct.rows();
+            let centroids = seed_centroids(distinct, k, &mut rng);
             let mut state = PointBounds {
-                assignments: vec![0; n],
-                upper: vec![0.0; n],
-                lower: vec![0.0; n],
+                assignments: vec![0; m],
+                upper: vec![0.0; m],
+                lower: vec![0.0; m],
             };
-            let (_, tally) = assign_pass(&points, &centroids, &mut state, threads, true, None);
+            let (_, tally) = assign_pass(distinct, &centroids, &mut state, threads, true, None);
             stats.points.add(tally);
-            (points, centroids, state)
+            (centroids, state)
         }
     };
-    stats.distinct_rows = points.len() as u64;
+    stats.distinct_rows = distinct.rows() as u64;
 
     // Incremental per-cluster sums over every row, maintained from move
     // lists in ascending row order so every thread count reduces
@@ -564,7 +465,7 @@ fn kmeans_single(
     let mut counts = vec![0usize; k];
     for (i, a) in points.per_row(&state.assignments).enumerate() {
         counts[a] += 1;
-        for (t, &v) in sums.row_mut(a).iter_mut().zip(data.row(i)) {
+        for (t, &v) in sums.row_mut(a).iter_mut().zip(points.row(i)) {
             *t += v;
         }
     }
@@ -579,15 +480,15 @@ fn kmeans_single(
             for &(i, from, to) in &moves {
                 counts[from] -= 1;
                 counts[to] += 1;
-                for (t, &v) in sums.row_mut(from).iter_mut().zip(data.row(i)) {
+                for (t, &v) in sums.row_mut(from).iter_mut().zip(points.row(i)) {
                     *t -= v;
                 }
-                for (t, &v) in sums.row_mut(to).iter_mut().zip(data.row(i)) {
+                for (t, &v) in sums.row_mut(to).iter_mut().zip(points.row(i)) {
                     *t += v;
                 }
             }
             update_centroids(
-                &points,
+                points,
                 &state.assignments,
                 &sums,
                 &counts,
@@ -601,7 +502,7 @@ fn kmeans_single(
             table.rebuild(&centroids);
         }
         let (point_moves, tally) = assign_pass(
-            &points,
+            distinct,
             &centroids,
             &mut state,
             threads,
@@ -612,7 +513,7 @@ fn kmeans_single(
         // moves are already row moves; keeping them leaves the reference
         // independent of the expansion it checks.
         moves = if pruned {
-            points.row_moves(&point_moves)
+            row_moves(points, &point_moves)
         } else {
             point_moves
         };
@@ -628,7 +529,7 @@ fn kmeans_single(
         .assignments
         .iter()
         .enumerate()
-        .map(|(p, &a)| distance_sq(points.row(p), centroids.row(a)))
+        .map(|(p, &a)| distance_sq(distinct.row(p), centroids.row(a)))
         .collect();
     let mut sizes = vec![0usize; k];
     let mut inertia = 0.0;
@@ -743,15 +644,21 @@ const SEED_SKIP_SLACK: f64 = 4.0 * (1.0 + 1e-9);
 /// cuts the seeding's `O(n·k·d)` scan work down to `O(n·k)` certificate
 /// checks on clustered data.
 #[allow(clippy::needless_range_loop)] // index loops touch several arrays in lock-step
-fn seed_centroids_tracked(points: &Points, k: usize, rng: &mut StdRng) -> (Matrix, PointBounds) {
-    let n = points.of_row.len();
-    let m = points.len();
-    let mut centroids = Matrix::zeros(k, points.data.cols());
+fn seed_centroids_tracked(
+    points: &IndexedRows,
+    k: usize,
+    rng: &mut StdRng,
+) -> (Matrix, PointBounds) {
+    let n = points.rows();
+    let distinct = points.distinct();
+    let m = distinct.rows();
+    let mut centroids = Matrix::zeros(k, points.cols());
     let first = rng.random_range(0..n);
-    centroids.row_mut(0).copy_from_slice(points.data.row(first));
+    centroids.row_mut(0).copy_from_slice(points.row(first));
     let mut best = vec![0usize; m];
-    let mut min_dist_sq: Vec<f64> = (0..m)
-        .map(|p| distance_sq(points.row(p), centroids.row(0)))
+    let mut min_dist_sq: Vec<f64> = distinct
+        .iter_rows()
+        .map(|row| distance_sq(row, centroids.row(0)))
         .collect();
     // Distances from the newest centroid to every earlier one, for the
     // skip certificate.
@@ -772,15 +679,13 @@ fn seed_centroids_tracked(points: &Points, k: usize, rng: &mut StdRng) -> (Matri
             }
             chosen
         };
-        centroids
-            .row_mut(c)
-            .copy_from_slice(points.data.row(choice));
+        centroids.row_mut(c).copy_from_slice(points.row(choice));
         for j in 0..c {
             centroid_dsq[j] = distance_sq(centroids.row(c), centroids.row(j));
         }
         for p in 0..m {
             if centroid_dsq[best[p]] < SEED_SKIP_SLACK * min_dist_sq[p] {
-                let dsq = distance_sq(points.row(p), centroids.row(c));
+                let dsq = distance_sq(distinct.row(p), centroids.row(c));
                 if dsq < min_dist_sq[p] {
                     min_dist_sq[p] = dsq;
                     best[p] = c;
@@ -980,10 +885,10 @@ impl NeighbourTable {
     }
 }
 
-/// One assignment pass over all points, chunk-parallel. Returns the move
-/// list `(point, from, to)` in ascending point order (empty on the
-/// initial pass, which writes assignments directly); `state` holds one
-/// entry per point.
+/// One assignment pass over all points (the rows of `points`),
+/// chunk-parallel. Returns the move list `(point, from, to)` in
+/// ascending point order (empty on the initial pass, which writes
+/// assignments directly); `state` holds one entry per point.
 ///
 /// With a neighbour `table` (the pruned path), points whose Hamerly
 /// bounds certify their incumbent skip the scan entirely, and the rest
@@ -991,7 +896,7 @@ impl NeighbourTable {
 /// scan when the list runs out; no path changes an assignment. Without
 /// one, every point pays for the full scan.
 fn assign_pass(
-    points: &Points,
+    points: &Matrix,
     centroids: &Matrix,
     state: &mut PointBounds,
     threads: usize,
@@ -1111,9 +1016,9 @@ fn relax_bounds(state: &mut PointBounds, moved: &[f64]) {
 /// (from the incremental sums) and re-seeds each empty cluster from the
 /// farthest row, deduplicating choices across empty clusters. Records
 /// every centroid's movement (Euclidean) in `moved`. `assignments` holds
-/// one entry per point.
+/// one entry per point, a distinct row of `points`.
 fn update_centroids(
-    points: &Points,
+    points: &IndexedRows,
     assignments: &[usize],
     sums: &Matrix,
     counts: &[usize],
@@ -1147,10 +1052,10 @@ fn update_centroids(
     // (two copies of one point still can, as with every row its own).
     let dist_to_assigned: Vec<f64> = assignments
         .iter()
-        .enumerate()
-        .map(|(p, &a)| distance_sq(points.row(p), centroids.row(a)))
+        .zip(points.distinct().iter_rows())
+        .map(|(&a, row)| distance_sq(row, centroids.row(a)))
         .collect();
-    let mut chosen = vec![false; points.of_row.len()];
+    let mut chosen = vec![false; points.rows()];
     for c in 0..k {
         if counts[c] != 0 {
             continue;
@@ -1168,7 +1073,7 @@ fn update_centroids(
             continue;
         }
         chosen[far] = true;
-        let row = points.data.row(far);
+        let row = points.row(far);
         moved[c] = distance(centroids.row(c), row);
         centroids.row_mut(c).copy_from_slice(row);
     }
@@ -1286,8 +1191,7 @@ mod tests {
             upper: vec![f64::INFINITY],
             lower: vec![0.0],
         };
-        let points = Points::every(&data);
-        let (moves, tally) = assign_pass(&points, &centroids, &mut state, 1, false, Some(&table));
+        let (moves, tally) = assign_pass(&data, &centroids, &mut state, 1, false, Some(&table));
         assert_eq!(moves, vec![(0, 0, k - 1)]);
         assert_eq!((tally.scanned, tally.full_scans), (1, 1));
         assert_eq!(tally.distances, (NEAR + k) as u64);
@@ -1371,14 +1275,14 @@ mod tests {
             vec![2.0, 3.0],
             vec![1.0, -0.0],
         ]);
-        let points = Points::distinct(&data);
-        assert_eq!(points.first, vec![0, 1, 3]);
-        assert_eq!(points.of_row, vec![0, 1, 0, 2, 1]);
+        let points = data.by_bits();
+        assert_eq!(points.distinct(), &data.select_rows(&[0, 1, 3]));
+        assert_eq!(points.index(), &[0, 1, 0, 2, 1]);
         // Point 0 moves 0 → 2 and point 2 moves 1 → 0: one move per
         // row, in row order.
-        let moves = points.row_moves(&[(0, 0, 2), (2, 1, 0)]);
+        let moves = row_moves(&points, &[(0, 0, 2), (2, 1, 0)]);
         assert_eq!(moves, vec![(0, 0, 2), (2, 0, 2), (3, 1, 0)]);
-        assert_eq!(points.row_moves(&[]), vec![]);
+        assert_eq!(row_moves(&points, &[]), vec![]);
     }
 
     #[test]
@@ -1501,7 +1405,7 @@ mod tests {
         let mut centroids = Matrix::zeros(3, 2);
         let mut moved = vec![0.0; 3];
         update_centroids(
-            &Points::every(&data),
+            &IndexedRows::from(data.clone()),
             &assignments,
             &sums,
             &counts,

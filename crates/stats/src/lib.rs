@@ -4,7 +4,9 @@
 //! phase-level workload characterization methodology of Hoste & Eeckhout
 //! (ISPASS 2008) relies on:
 //!
-//! * a dense row-major [`Matrix`] type,
+//! * a dense row-major [`Matrix`] type, and [`IndexedRows`], rows kept
+//!   once per distinct row plus a per-row index (both read through
+//!   [`Rows`]),
 //! * column z-score normalization ([`normalize_columns`]),
 //! * principal components analysis ([`Pca`]) via Jacobi eigendecomposition
 //!   of the (symmetric) covariance matrix,
@@ -43,6 +45,7 @@ mod eigen;
 #[cfg(test)]
 mod equivalence;
 mod hierarchical;
+mod indexed;
 mod kmeans;
 mod matrix;
 mod normalize;
@@ -52,11 +55,12 @@ mod streaming;
 pub use correlation::{pearson, spearman, CenteredSample};
 pub use eigen::{jacobi_eigen, EigenDecomposition};
 pub use hierarchical::{hierarchical_cluster, Dendrogram, Merge};
+pub use indexed::{IndexedRows, Rows};
 pub use kmeans::{
     kmeans, kmeans_reference, kmeans_restart, pick_best_clustering, Clustering, KmeansConfig,
 };
 pub use matrix::Matrix;
-pub use normalize::{normalize_columns, ColumnStats};
+pub use normalize::{normalize_columns, normalize_indexed, ColumnStats};
 pub use pca::Pca;
 pub use streaming::{RunningColumnStats, RunningCovariance, RELATIVE_STD_FLOOR};
 

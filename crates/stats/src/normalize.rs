@@ -1,5 +1,6 @@
 //! Column-wise z-score normalization.
 
+use crate::indexed::{IndexedRows, Rows};
 use crate::matrix::Matrix;
 use crate::streaming::RunningColumnStats;
 
@@ -21,18 +22,19 @@ impl ColumnStats {
     /// Computes the statistics of the columns of `m` without normalizing.
     ///
     /// Runs the one-pass Welford accumulator
-    /// ([`RunningColumnStats`](crate::RunningColumnStats)) over the rows,
-    /// so the result is bit-identical to streaming the same rows in the
-    /// same order. A standard deviation at or below
+    /// ([`RunningColumnStats`](crate::RunningColumnStats)) over the rows
+    /// in row order, so the result is bit-identical to streaming the
+    /// same rows in the same order, and an [`IndexedRows`] gives the
+    /// bits of its expansion. A standard deviation at or below
     /// [`RELATIVE_STD_FLOOR`](crate::RELATIVE_STD_FLOOR) times the
     /// column's largest absolute value is clamped to `0.0` — relative to
     /// the column's magnitude, so legitimately tiny-scale columns keep
     /// their spread while rounding noise on large-scale near-constant
     /// columns is treated as zero.
-    pub fn of(m: &Matrix) -> Self {
+    pub fn of(m: &impl Rows) -> Self {
         let mut acc = RunningColumnStats::new(m.cols());
-        for row in m.iter_rows() {
-            acc.push(row);
+        for r in 0..m.rows() {
+            acc.push(m.row(r));
         }
         acc.finalize()
     }
@@ -98,6 +100,16 @@ impl ColumnStats {
 pub fn normalize_columns(m: &Matrix) -> (Matrix, ColumnStats) {
     let stats = ColumnStats::of(m);
     let normed = stats.apply(m);
+    (normed, stats)
+}
+
+/// [`normalize_columns`] for indexed rows: the statistics of every row
+/// in row order, the rescaling of each distinct row once. The result
+/// shares `rows`' index and expands to the bits `normalize_columns`
+/// gives for the expansion.
+pub fn normalize_indexed(rows: &IndexedRows) -> (IndexedRows, ColumnStats) {
+    let stats = ColumnStats::of(rows);
+    let normed = rows.with_distinct(stats.apply(rows.distinct()));
     (normed, stats)
 }
 
@@ -173,6 +185,21 @@ mod tests {
         let (n, stats) = normalize_columns(&m);
         assert_eq!(stats.stds[0], 0.0);
         assert!(n.column(0).iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn indexed_rows_normalize_as_their_expansion() {
+        // Repeats weigh the statistics; each distinct row is rescaled once.
+        let distinct = Matrix::from_rows(&[vec![1.0, 10.0], vec![4.0, -2.0], vec![0.5, 3.0]]);
+        let rows = IndexedRows::new(distinct, vec![0, 1, 1, 2, 1, 0]);
+        let (normed, stats) = normalize_indexed(&rows);
+        let (want, want_stats) = normalize_columns(&rows.expand());
+        assert_eq!(stats, want_stats);
+        assert_eq!(normed.index(), rows.index());
+        assert_eq!(normed.distinct().rows(), 3);
+        let bits =
+            |m: &Matrix| -> Vec<u64> { m.iter_rows().flatten().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&normed.expand()), bits(&want));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Cross-crate integration: the full pipeline from synthetic benchmark
 //! execution through clustering and suite analyses.
 
+use std::collections::{HashMap, HashSet};
+
 use phaselab::core::{coverage, diversity, uniqueness};
 use phaselab::{run_study, StudyConfig, Suite, NUM_FEATURES};
 
@@ -29,8 +31,25 @@ fn study_internal_consistency() {
 
     // The rescaled PCA space has the same rows and the retained
     // dimensionality.
-    assert_eq!(r.space.rows(), r.sampled.len());
-    assert_eq!(r.space.cols(), r.pcs_retained);
+    assert_eq!(r.space().rows(), r.sampled.len());
+    assert_eq!(r.space().cols(), r.pcs_retained);
+
+    // It stores one row per distinct sampled interval, and each sampled
+    // row reads its interval's row.
+    let space = r.space();
+    let mut stored_row = HashMap::new();
+    for (row, s) in r.sampled.iter().enumerate() {
+        let d = space.index()[row] as usize;
+        assert_eq!(*stored_row.entry(*s).or_insert(d), d, "row {row}");
+        assert_eq!(space.row(row), space.distinct().row(d), "row {row}");
+    }
+    let stored: HashSet<usize> = stored_row.values().copied().collect();
+    assert_eq!(
+        stored.len(),
+        stored_row.len(),
+        "one stored row per interval"
+    );
+    assert_eq!(space.distinct().rows(), stored_row.len());
 
     // Prominent phases reference valid clusters and rows.
     for p in &r.prominent {

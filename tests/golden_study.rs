@@ -41,8 +41,8 @@ fn digest(r: &StudyResult) -> u64 {
     words.extend(bits(&norm.means));
     words.extend(bits(&norm.stds));
     words.extend(bits(r.pca().variances()));
-    words.extend([r.space.rows() as u64, r.space.cols() as u64]);
-    for row in r.space.iter_rows() {
+    words.extend([r.space().rows() as u64, r.space().cols() as u64]);
+    for row in r.space().iter_rows() {
         words.extend(bits(row));
     }
     words.extend(r.clustering.assignments.iter().map(|&a| a as u64));

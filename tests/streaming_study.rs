@@ -39,10 +39,10 @@ fn assert_bit_identical(a: &StudyResult, b: &StudyResult) {
         a.variance_explained.to_bits(),
         b.variance_explained.to_bits()
     );
-    assert_eq!(a.space.rows(), b.space.rows());
-    assert_eq!(a.space.cols(), b.space.cols());
-    for r in 0..a.space.rows() {
-        for (x, y) in a.space.row(r).iter().zip(b.space.row(r)) {
+    assert_eq!(a.space().rows(), b.space().rows());
+    assert_eq!(a.space().cols(), b.space().cols());
+    for r in 0..a.space().rows() {
+        for (x, y) in a.space().row(r).iter().zip(b.space().row(r)) {
             assert_eq!(x.to_bits(), y.to_bits(), "space[{r}] diverged");
         }
     }
