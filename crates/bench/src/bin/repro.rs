@@ -31,14 +31,10 @@
 //! re-invoked with `--resume` reloads them and produces a bit-identical
 //! result.
 //!
-//! `--supervise N` turns the binary into its own process supervisor: it
-//! spawns N `--shard` workers over the shared store, restarts crashed
-//! or hung ones with capped exponential backoff, salvages
-//! permanently-dead shards in-process, and then runs the streaming
-//! reduce — producing a report byte-identical to a fault-free
-//! single-process run, or a typed non-zero exit naming the
-//! unrecoverable shard. See DESIGN.md §16 for the fault model, the
-//! lease/fencing protocol, and the supervisor state machine.
+//! A run that dies outright — `kill -9`, an OOM kill, an abort — is
+//! recovered the same way: re-run the same command over the same
+//! `--checkpoint-dir` and it picks up every checkpoint the dead run
+//! finished. See DESIGN.md §16 for why the study runs in one process.
 //!
 //! `--metrics-out` installs the `phaselab-obs` subscriber and writes
 //! one deterministic run manifest (counters, per-benchmark events,
@@ -59,9 +55,9 @@ use std::time::Instant;
 
 use phaselab_bench::write_artifact;
 use phaselab_core::{
-    characterization_fingerprint, coverage, diversity, format_table, run_shard, run_shard_with,
-    run_study_resumable, run_study_with_resumable, uniqueness, AnalysisMode, CancelToken,
-    CheckpointStore, SamplingPolicy, StudyConfig, StudyError, StudyResult,
+    characterization_fingerprint, coverage, diversity, format_table, run_study_resumable,
+    run_study_with_resumable, uniqueness, AnalysisMode, CancelToken, CheckpointStore,
+    SamplingPolicy, StudyConfig, StudyError, StudyResult,
 };
 use phaselab_ga::{greedy_select, select_features, DistanceCorrelationFitness, GaConfig};
 use phaselab_mica::{feature_names, FeatureCategory, NUM_FEATURES};
@@ -85,8 +81,8 @@ const EXIT_INTERRUPTED: i32 = 130;
 /// Ctrl-C and SIGTERM handling: the signal handler only flips an atomic
 /// flag; a watcher thread turns the flag into a [`CancelToken`] trip,
 /// which the pipeline observes at its next check. SIGTERM gets the same
-/// cooperative treatment as SIGINT so supervised workers flush their
-/// checkpoints and release their leases instead of dying mid-write.
+/// cooperative treatment as SIGINT so a stopped run flushes its
+/// checkpoints instead of dying mid-write.
 /// `unsafe` allowlist: registering an async-signal-safe handler
 /// requires the raw `signal(2)` FFI — there is no safe-Rust
 /// equivalent without a dependency. The handler body itself is a
@@ -217,25 +213,12 @@ options:
                             --checkpoint-dir; results are bit-identical, but
                             fig1/fig23/motivation/all need the matrix and
                             refuse this mode)
-  --shard I/N               worker pass of a sharded study: characterize shard
-                            I of N (round-robin by catalog index) into the
-                            checkpoint store and exit; no analysis runs.
-                            Launch one worker per I, then reduce.
-  --reduce N                reduce pass of a sharded study: analyze a store
-                            filled by N shard workers (implies --streaming;
-                            combine with a streaming-capable experiment)
-  --supervise N             supervised sharded study: spawn N shard workers as
-                            child processes, restart crashed/hung ones with
-                            capped backoff, salvage permanently-dead shards
-                            in-process, then run the reduce (implies
-                            --streaming; requires --checkpoint-dir; combine
-                            with a streaming-capable experiment)
   --max-inst-per-bench N    quarantine benchmarks exceeding N instructions
                             (when absent, a sound budget is derived from the
                             static analyzer's per-benchmark instruction bound)
   --no-static-analysis      skip the static pre-flight: no derived watchdog
-                            budgets, no dead-code pruning, no longest-first
-                            shard ordering, no static_analysis manifest section
+                            budgets, no dead-code pruning, no static_analysis
+                            manifest section
                             (results are bit-identical either way)
   --metrics-out PATH        write the run manifest (JSON) to PATH
   --progress                throttled stage/progress lines on stderr
@@ -270,11 +253,6 @@ struct Cli {
     metrics_out: Option<std::path::PathBuf>,
     /// `--progress`: throttled stderr stage/progress lines.
     progress: bool,
-    /// `--shard I/N`: run the worker pass for shard I (N is
-    /// `cfg.shard_total`) instead of an experiment.
-    shard: Option<u32>,
-    /// `--supervise N`: spawn and babysit N shard workers, then reduce.
-    supervise: Option<u32>,
     /// `--json`: machine-readable diagnostics for `lint`/`--verify-only`.
     json: bool,
     /// `--max-bytes N`: the `cache gc` size budget (present exactly
@@ -320,19 +298,7 @@ fn main() {
     let progress_stop = cli.progress.then(spawn_progress_reporter);
     let token = CancelToken::new();
     install_interrupt_handler(&token);
-    let outcome = if let Some(shard_index) = cli.shard {
-        let s = store
-            .as_ref()
-            .expect("parse_args requires --checkpoint-dir for --shard");
-        run_shard_worker(&cli.cfg, shard_index, &cli.only, s, &token)
-    } else if let Some(shards) = cli.supervise {
-        let s = store
-            .as_ref()
-            .expect("parse_args requires --checkpoint-dir for --supervise");
-        run_supervised(&cli, &args, shards, s, &token)
-    } else {
-        run_experiment(&cli.cfg, &cli.command, &cli.only, store.as_ref(), &token)
-    };
+    let outcome = run_experiment(&cli.cfg, &cli.command, &cli.only, store.as_ref(), &token);
     if let Some(stop) = progress_stop {
         stop.store(true, std::sync::atomic::Ordering::SeqCst);
     }
@@ -798,136 +764,6 @@ fn warn_quarantined(quarantined: &[phaselab_core::QuarantinedBenchmark]) {
     }
 }
 
-/// `--shard I/N`: the worker pass of a sharded study. Characterizes
-/// this shard's benchmarks into the shared store (under the streaming
-/// protocol fingerprint) and reports the tally; the analysis happens
-/// later, in the `--reduce` pass.
-fn run_shard_worker(
-    cfg: &StudyConfig,
-    shard_index: u32,
-    only: &[String],
-    store: &CheckpointStore,
-    token: &CancelToken,
-) -> Result<(), StudyError> {
-    eprintln!(
-        "[repro] shard worker {}/{}: characterizing into {}",
-        shard_index,
-        cfg.shard_total,
-        store.dir().display()
-    );
-    let t = Instant::now();
-    let summary = if only.is_empty() {
-        run_shard(cfg, shard_index, store, Some(token))?
-    } else {
-        let benches: Vec<phaselab_workloads::Benchmark> = phaselab_workloads::catalog()
-            .into_iter()
-            .filter(|b| {
-                cfg.suites
-                    .as_ref()
-                    .is_none_or(|suites| suites.contains(&b.suite()))
-            })
-            .filter(|b| only.iter().any(|name| name == b.name()))
-            .collect();
-        run_shard_with(cfg, &benches, shard_index, store, Some(token))?
-    };
-    eprintln!(
-        "[repro] shard {}/{} done in {:.1}s: {} assigned, {} characterized, {} quarantined",
-        summary.shard_index,
-        summary.shard_total,
-        t.elapsed().as_secs_f64(),
-        summary.assigned,
-        summary.characterized,
-        summary.quarantined.len()
-    );
-    warn_quarantined(&summary.quarantined);
-    Ok(())
-}
-
-/// Flags whose value must travel with them when the supervisor rebuilds
-/// the worker argv from its own.
-const VALUE_FLAGS: &[&str] = &[
-    "--scale",
-    "--interval",
-    "--samples",
-    "--k",
-    "--seed",
-    "--threads",
-    "--engine",
-    "--suites",
-    "--only",
-    "--checkpoint-dir",
-    "--max-inst-per-bench",
-];
-
-/// Builds the child worker argv from the supervisor's own argv: keeps
-/// the study-shape flags (scale, seed, filters, the checkpoint dir),
-/// drops `--supervise` itself (each child gets `--shard I/N` appended
-/// by the supervisor instead), the experiment token (workers
-/// characterize; only the parent reduces), and the parent-only flags
-/// (`--metrics-out`, `--progress`, `--resume`, `--streaming`).
-fn worker_argv(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a == "--supervise" || a == "--metrics-out" {
-            i += 2; // flag + value
-        } else if a == "--no-static-analysis" {
-            // Boolean study-shape flag: workers must make the same
-            // static-analysis decision as the parent or the store
-            // fingerprints would describe differently-derived budgets.
-            out.push(args[i].clone());
-            i += 1;
-        } else if VALUE_FLAGS.contains(&a) {
-            out.push(args[i].clone());
-            if let Some(v) = args.get(i + 1) {
-                out.push(v.clone());
-            }
-            i += 2;
-        } else {
-            // `--progress`, `--resume`, `--streaming`, and the
-            // experiment token are parent-side concerns; anything else
-            // was already rejected by parse_args.
-            i += 1;
-        }
-    }
-    out
-}
-
-/// `--supervise N`: spawns N `--shard` worker processes over the shared
-/// store, restarts crashed or hung ones with capped backoff, salvages
-/// permanently-dead shards in-process, and then runs the streaming
-/// reduce — one command, chaos-tolerant end to end. The report is
-/// byte-identical to a fault-free single-process run because every
-/// worker writes idempotent content-fingerprinted checkpoints.
-fn run_supervised(
-    cli: &Cli,
-    args: &[String],
-    shards: u32,
-    store: &CheckpointStore,
-    token: &CancelToken,
-) -> Result<(), StudyError> {
-    let sup = phaselab_bench::supervise::SuperviseConfig::from_env(
-        shards,
-        store.dir().to_path_buf(),
-        worker_argv(args),
-        cli.cfg.seed,
-    );
-    eprintln!(
-        "[repro] supervising {shards} shard workers over {}",
-        store.dir().display()
-    );
-    let report = phaselab_bench::supervise::supervise(&sup, token, |shard_index| {
-        run_shard_worker(&cli.cfg, shard_index, &cli.only, store, token)
-    })?;
-    eprintln!(
-        "[repro] supervision done: {} restart(s), {} shard(s) salvaged in-process",
-        report.restarts,
-        report.salvaged.len()
-    );
-    run_experiment(&cli.cfg, &cli.command, &cli.only, Some(store), token)
-}
-
 /// `repro cache [stats|gc]`: accounting and eviction over the existing
 /// store named by `--checkpoint-dir` (DESIGN.md §18).
 fn cmd_cache(cli: &Cli) -> i32 {
@@ -1045,9 +881,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut json = false;
     let mut resume = false;
     let mut streaming = false;
-    let mut shard: Option<(u32, u32)> = None;
-    let mut reduce: Option<u32> = None;
-    let mut supervise: Option<u32> = None;
     let mut max_bytes: Option<u64> = None;
     let mut cache_action: Option<String> = None;
     let mut i = 0;
@@ -1158,37 +991,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--no-static-analysis" => cfg.static_analysis = false,
             "--resume" => resume = true,
             "--streaming" => streaming = true,
-            "--shard" => {
-                let v = value(args, i)?;
-                i += 1;
-                let (idx, total) = v
-                    .split_once('/')
-                    .ok_or_else(|| format!("bad value `{v}` for `--shard` (expected I/N)"))?;
-                let idx: u32 = parse_num("--shard", idx)?;
-                let total: u32 = parse_num("--shard", total)?;
-                if total == 0 || idx >= total {
-                    return Err(format!("bad shard `{v}` (need 0 <= I < N, N > 0)"));
-                }
-                shard = Some((idx, total));
-            }
-            "--reduce" => {
-                let v = value(args, i)?;
-                i += 1;
-                let total: u32 = parse_num("--reduce", &v)?;
-                if total == 0 {
-                    return Err("bad value `0` for `--reduce` (must be positive)".to_string());
-                }
-                reduce = Some(total);
-            }
-            "--supervise" => {
-                let v = value(args, i)?;
-                i += 1;
-                let n: u32 = parse_num("--supervise", &v)?;
-                if n == 0 {
-                    return Err("bad value `0` for `--supervise` (must be positive)".to_string());
-                }
-                supervise = Some(n);
-            }
             // Occupies the experiment slot: the lint mode runs instead
             // of (never alongside) an experiment.
             "--verify-only" => {
@@ -1261,55 +1063,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             ));
         }
     }
-    if let Some((idx, total)) = shard {
-        if let Some(cmd) = &command {
-            return Err(format!(
-                "`--shard` is the worker pass; it cannot be combined with experiment `{cmd}`"
-            ));
-        }
-        if reduce.is_some() {
-            return Err(
-                "`--shard` and `--reduce` are separate passes; run them as separate invocations"
-                    .to_string(),
-            );
-        }
-        if checkpoint_dir.is_none() {
-            return Err(
-                "`--shard` requires `--checkpoint-dir` (the shared store is the worker's output)"
-                    .to_string(),
-            );
-        }
-        cfg.shard_total = total;
-        // Workers checkpoint under the streaming protocol fingerprint —
-        // the reduce pass is the only consumer of a sharded store.
-        cfg.analysis = AnalysisMode::Streaming;
-        let _ = idx; // carried in Cli::shard
-    }
-    if let Some(total) = reduce {
-        cfg.shard_total = total;
-        streaming = true;
-    }
-    if let Some(n) = supervise {
-        if shard.is_some() {
-            return Err(
-                "`--supervise` spawns the `--shard` workers itself; the flags cannot be combined"
-                    .to_string(),
-            );
-        }
-        if reduce.is_some() {
-            return Err("`--supervise` already runs the reduce pass; drop `--reduce`".to_string());
-        }
-        if checkpoint_dir.is_none() {
-            return Err(
-                "`--supervise` requires `--checkpoint-dir` (the shared store coordinates workers)"
-                    .to_string(),
-            );
-        }
-        cfg.shard_total = n;
-        // Workers fill the store under the streaming protocol; the
-        // supervisor's reduce streams rows back out of it.
-        cfg.analysis = AnalysisMode::Streaming;
-    }
     if streaming {
         cfg.analysis = AnalysisMode::Streaming;
         if checkpoint_dir.is_none() {
@@ -1319,16 +1072,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             );
         }
     }
-    // The worker pass occupies the experiment slot, like --verify-only.
-    let command = if shard.is_some() {
-        "--shard".to_string()
-    } else {
-        command.unwrap_or_else(|| "all".to_string())
-    };
-    if shard.is_none()
-        && cfg.analysis == AnalysisMode::Streaming
-        && STREAMING_INCOMPATIBLE.contains(&command.as_str())
-    {
+    let command = command.unwrap_or_else(|| "all".to_string());
+    if streaming && STREAMING_INCOMPATIBLE.contains(&command.as_str()) {
         return Err(format!(
             "experiment `{command}` reads the raw feature matrix, which `--streaming` does not \
              retain (pick a streaming-capable experiment, e.g. table3 or fig4)"
@@ -1357,10 +1102,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         if gc && max_bytes.is_none() {
             return Err("`cache gc` requires `--max-bytes` (the eviction budget)".to_string());
         }
-        if supervise.is_some() || reduce.is_some() || streaming || resume {
-            return Err("`cache` cannot be combined with study-execution flags \
-                 (--supervise/--reduce/--streaming/--resume)"
-                .to_string());
+        if streaming || resume {
+            return Err(
+                "`cache` cannot be combined with study-execution flags (--streaming/--resume)"
+                    .to_string(),
+            );
         }
     }
     Ok(Cli {
@@ -1370,8 +1116,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         only,
         metrics_out,
         progress,
-        shard: shard.map(|(idx, _)| idx),
-        supervise,
         json,
         max_bytes,
     })

@@ -5,8 +5,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod supervise;
-
 use std::path::{Path, PathBuf};
 
 /// Returns the output directory for experiment artifacts (SVG figures,

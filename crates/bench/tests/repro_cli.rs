@@ -39,10 +39,18 @@ fn unknown_flag_is_a_usage_error() {
     let line = stderr_line(&out);
     assert!(line.contains("unknown flag `--frobnicate`"), "{line}");
 
-    let out = repro(&["--kmeans-batch", "8", "table3"]);
-    assert_eq!(out.status.code(), Some(2));
-    let line = stderr_line(&out);
-    assert!(line.contains("unknown flag `--kmeans-batch`"), "{line}");
+    // Retired flags are unknown, not silently ignored.
+    for (flag, value) in [
+        ("--kmeans-batch", "8"),
+        ("--shard", "0/2"),
+        ("--reduce", "2"),
+        ("--supervise", "2"),
+    ] {
+        let out = repro(&[flag, value, "table3"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let line = stderr_line(&out);
+        assert!(line.contains(&format!("unknown flag `{flag}`")), "{line}");
+    }
 }
 
 #[test]
@@ -391,115 +399,11 @@ fn streaming_refuses_experiments_that_need_the_feature_matrix() {
 }
 
 #[test]
-fn malformed_shard_spec_is_a_usage_error() {
-    for spec in ["3", "a/b", "2/2", "0/0"] {
-        let out = repro(&["--shard", spec, "--checkpoint-dir", "/tmp/unused"]);
-        assert_eq!(out.status.code(), Some(2), "spec {spec}");
-    }
-}
-
-#[test]
-fn shard_cannot_be_combined_with_an_experiment() {
-    let out = repro(&[
-        "--shard",
-        "0/2",
-        "--checkpoint-dir",
-        "/tmp/unused",
-        "table3",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let line = stderr_line(&out);
-    assert!(line.contains("worker pass"), "{line}");
-}
-
-#[test]
-fn shard_requires_a_checkpoint_dir() {
-    let out = repro(&["--shard", "0/2"]);
-    assert_eq!(out.status.code(), Some(2));
-    let line = stderr_line(&out);
-    assert!(
-        line.contains("`--shard` requires `--checkpoint-dir`"),
-        "{line}"
-    );
-}
-
-#[test]
-fn help_lists_the_sharding_flags() {
+fn help_lists_the_streaming_flag() {
     let out = repro(&["--help"]);
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8_lossy(&out.stdout);
-    for needle in ["--streaming", "--shard I/N", "--reduce N"] {
-        assert!(text.contains(needle), "help missing `{needle}`");
-    }
-}
-
-#[test]
-fn supervise_requires_a_checkpoint_dir() {
-    let out = repro(&["--supervise", "2", "table3"]);
-    assert_eq!(out.status.code(), Some(2));
-    let line = stderr_line(&out);
-    assert!(
-        line.contains("`--supervise` requires `--checkpoint-dir`"),
-        "{line}"
-    );
-}
-
-#[test]
-fn supervise_cannot_be_combined_with_shard_or_reduce() {
-    let out = repro(&[
-        "--supervise",
-        "2",
-        "--shard",
-        "0/2",
-        "--checkpoint-dir",
-        "/tmp/unused",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let line = stderr_line(&out);
-    assert!(line.contains("cannot be combined"), "{line}");
-
-    let out = repro(&[
-        "--supervise",
-        "2",
-        "--reduce",
-        "2",
-        "--checkpoint-dir",
-        "/tmp/unused",
-        "table3",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let line = stderr_line(&out);
-    assert!(line.contains("already runs the reduce"), "{line}");
-}
-
-#[test]
-fn zero_supervise_is_a_usage_error() {
-    let out = repro(&["--supervise", "0", "--checkpoint-dir", "/tmp/unused"]);
-    assert_eq!(out.status.code(), Some(2));
-    let line = stderr_line(&out);
-    assert!(line.contains("bad value `0` for `--supervise`"), "{line}");
-}
-
-#[test]
-fn supervise_refuses_matrix_experiments_like_streaming_does() {
-    let out = repro(&[
-        "--supervise",
-        "2",
-        "--checkpoint-dir",
-        "/tmp/unused",
-        "fig1",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let line = stderr_line(&out);
-    assert!(line.contains("raw feature matrix"), "{line}");
-}
-
-#[test]
-fn help_lists_supervise() {
-    let out = repro(&["--help"]);
-    assert_eq!(out.status.code(), Some(0));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("--supervise N"), "help missing --supervise");
+    assert!(text.contains("--streaming"), "help missing `--streaming`");
 }
 
 /// SIGTERM gets the same cooperative-cancel treatment as Ctrl-C: the
@@ -525,132 +429,6 @@ fn sigterm_cancels_cooperatively_with_exit_130() {
     assert!(delivered, "kill -TERM must reach the child");
     let status = child.wait().expect("wait for repro");
     assert_eq!(status.code(), Some(130), "SIGTERM must exit 130");
-}
-
-/// The full sharded protocol end to end at smoke scale: two workers
-/// fill one store, the reduce pass analyzes it, and the report is
-/// byte-identical to the single-process run's.
-#[test]
-fn shard_workers_plus_reduce_reproduce_the_single_process_report() {
-    let dir = std::env::temp_dir().join(format!("phaselab-shard-cli-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = dir.join("ckpt");
-    let base = [
-        "--scale",
-        "tiny",
-        "--interval",
-        "20000",
-        "--samples",
-        "8",
-        "--k",
-        "12",
-        "--seed",
-        "0",
-        "--only",
-        "face,finger,jpeg",
-    ];
-    for shard in ["0/2", "1/2"] {
-        let mut args: Vec<&str> = base.to_vec();
-        args.extend([
-            "--shard",
-            shard,
-            "--checkpoint-dir",
-            store.to_str().unwrap(),
-        ]);
-        let out = repro(&args);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "worker {shard}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let mut args: Vec<&str> = base.to_vec();
-    args.extend([
-        "--reduce",
-        "2",
-        "--checkpoint-dir",
-        store.to_str().unwrap(),
-        "table3",
-    ]);
-    let reduced = repro(&args);
-    assert_eq!(
-        reduced.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&reduced.stderr)
-    );
-    let mut args: Vec<&str> = base.to_vec();
-    args.push("table3");
-    let single = repro(&args);
-    assert_eq!(single.status.code(), Some(0));
-    assert_eq!(
-        String::from_utf8_lossy(&single.stdout),
-        String::from_utf8_lossy(&reduced.stdout),
-        "reduced report must be byte-identical to the single-process report"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The supervised mode end to end, with crash/torn/EINTR fault
-/// injection armed in the workers: the supervisor restarts the
-/// casualties (salvaging any shard that exhausts its restart budget)
-/// and the final report is still byte-identical to a fault-free
-/// single-process run.
-#[cfg(unix)]
-#[test]
-fn supervised_chaos_run_reproduces_the_single_process_report() {
-    let dir = std::env::temp_dir().join(format!("phaselab-supervise-cli-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = dir.join("ckpt");
-    let base = [
-        "--scale",
-        "tiny",
-        "--interval",
-        "20000",
-        "--samples",
-        "8",
-        "--k",
-        "12",
-        "--seed",
-        "0",
-        "--only",
-        "face,finger,jpeg",
-    ];
-    let mut args: Vec<&str> = base.to_vec();
-    args.extend([
-        "--supervise",
-        "3",
-        "--checkpoint-dir",
-        store.to_str().unwrap(),
-        "table3",
-    ]);
-    let supervised = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(&args)
-        .env(
-            "PHASELAB_FAULTS_WORKER",
-            "seed=7,crash=0.4,torn=0.2,eintr=0.1",
-        )
-        .output()
-        .expect("spawn repro");
-    assert_eq!(
-        supervised.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&supervised.stderr)
-    );
-    let mut args: Vec<&str> = base.to_vec();
-    args.push("table3");
-    let single = repro(&args);
-    assert_eq!(single.status.code(), Some(0));
-    assert_eq!(
-        String::from_utf8_lossy(&single.stdout),
-        String::from_utf8_lossy(&supervised.stdout),
-        "supervised chaos report must be byte-identical to the single-process report"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -16,9 +16,9 @@
 //!   file's mtime, which [`CheckpointStore::load_benchmark`] bumps on
 //!   every hit, so a warm entry survives a cold one of the same age.
 //!
-//! Concurrent `gc` passes from different processes are serialized with
-//! the same `O_EXCL` mutation-lock protocol the lease module uses
-//! ([`lease::with_mutation_lock`]); everything else stays lock-free.
+//! Concurrent `gc` passes from different processes are serialized by an
+//! `O_EXCL` lock file (`cache-gc.lock` in the store root); everything
+//! else stays lock-free.
 //!
 //! Cross-study sharing needs no extra machinery: the characterization
 //! fingerprint deliberately excludes sampling, clustering, and GA
@@ -28,12 +28,15 @@
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::io;
-use std::path::PathBuf;
-use std::time::SystemTime;
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant, SystemTime};
 
 use crate::checkpoint::CheckpointStore;
-use crate::lease;
+
+/// How long a `gc` pass waits for the lock, and how old a lock file
+/// must be before it is presumed abandoned by a crashed pass.
+const GC_LOCK_TTL: Duration = Duration::from_secs(30);
 
 /// What kind of payload a store entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,16 +129,16 @@ impl CheckpointStore {
 
     /// Evicts least-recently-used entries until the evictable bytes fit
     /// `max_bytes`. Concurrent `gc` passes (any process) are serialized
-    /// by the store's mutation lock; a pass that cannot get the lock
-    /// within the lease TTL returns `WouldBlock` rather than racing.
+    /// by the store's gc lock; a pass that cannot get the lock within
+    /// 30 s returns `WouldBlock` rather than racing.
     ///
     /// # Errors
     ///
     /// `WouldBlock` when another process holds the gc lock past the
     /// TTL; otherwise the I/O error that stopped the walk.
     pub fn gc(&self, max_bytes: u64) -> io::Result<GcReport> {
-        let lock_name = self.dir().join("cache-gc");
-        lease::with_mutation_lock(&lock_name, lease::default_ttl(), || {
+        let lock = self.dir().join("cache-gc.lock");
+        with_mutation_lock(&lock, GC_LOCK_TTL, GC_LOCK_TTL, || {
             self.gc_locked(max_bytes)
         })?
     }
@@ -179,7 +182,7 @@ impl CheckpointStore {
 
     /// Enumerates every evictable entry under the store root: one
     /// directory level of `c<fp>`/`k<fp>` groups, `.ckpt` files within.
-    /// Anything else (leases, locks, temporaries) is not a store entry
+    /// Anything else (locks, temporaries) is not a store entry
     /// and never eviction fodder.
     fn entries(&self) -> io::Result<Vec<Entry>> {
         let mut out = Vec::new();
@@ -209,6 +212,54 @@ impl CheckpointStore {
             }
         }
         Ok(out)
+    }
+}
+
+/// Runs `mutate` while holding the `O_EXCL` lock file `lock`, so two
+/// processes cannot interleave their passes. A lock file older than
+/// `stale_after` is presumed abandoned by a crashed holder and broken.
+///
+/// # Errors
+///
+/// `WouldBlock` when a live lock stayed in place for all of `wait`;
+/// otherwise whatever the lock-file creation produced.
+fn with_mutation_lock<T>(
+    lock: &Path,
+    stale_after: Duration,
+    wait: Duration,
+    mutate: impl FnOnce() -> T,
+) -> io::Result<T> {
+    let deadline = Instant::now() + wait;
+    loop {
+        match fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(lock)
+        {
+            Ok(mut f) => {
+                let _ = writeln!(f, "{}", std::process::id());
+                let out = mutate();
+                let _ = fs::remove_file(lock);
+                return Ok(out);
+            }
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                let abandoned = fs::metadata(lock)
+                    .and_then(|m| m.modified())
+                    .map_or(true, |t| t.elapsed().is_ok_and(|a| a > stale_after));
+                if abandoned {
+                    let _ = fs::remove_file(lock);
+                    continue;
+                }
+                if Instant::now() >= deadline {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WouldBlock,
+                        "store mutation lock busy",
+                    ));
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => return Err(e),
+        }
     }
 }
 
@@ -331,5 +382,30 @@ mod tests {
         assert_eq!(parse_group_name("c123"), None);
         assert_eq!(parse_group_name("leases"), None);
         assert_eq!(parse_group_name("pins"), None);
+    }
+
+    #[test]
+    fn a_live_lock_blocks_and_a_stale_one_is_broken() {
+        let store = temp_store("lock");
+        let lock = store.dir().join("test.lock");
+        let short = Duration::from_millis(50);
+        fs::write(&lock, "1\n").expect("fresh lock");
+        let busy = with_mutation_lock(&lock, Duration::from_hours(1), short, || ());
+        assert_eq!(
+            busy.expect_err("fresh lock").kind(),
+            io::ErrorKind::WouldBlock
+        );
+        assert!(lock.exists(), "a live lock is never removed");
+
+        let old = SystemTime::now() - Duration::from_mins(1);
+        fs::File::options()
+            .append(true)
+            .open(&lock)
+            .expect("open lock")
+            .set_times(fs::FileTimes::new().set_modified(old))
+            .expect("age lock");
+        let ran = with_mutation_lock(&lock, short, short, || 7).expect("stale lock broken");
+        assert_eq!(ran, 7);
+        assert!(!lock.exists(), "the lock is released after the pass");
     }
 }

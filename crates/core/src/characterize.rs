@@ -43,8 +43,7 @@ impl BenchCharacterization {
 /// The static pre-flight of one benchmark: one [`StaticReport`] per
 /// input, in input order. Produced by [`analyze_benchmark`], consumed
 /// by the watchdog (derived budget), the block compiler (dead-code
-/// pruning), the supervisor (longest-first shard ordering), and the
-/// `static_analysis` manifest section.
+/// pruning), and the `static_analysis` manifest section.
 #[derive(Debug, Clone)]
 pub struct BenchStaticReport {
     /// One report per input.

@@ -239,8 +239,8 @@ fn crc32_bytewise(bytes: &[u8]) -> u32 {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// FNV-1a 64 over bytes and little-endian `u64`s: store keys, fault
-/// decisions and lease tokens.
+/// FNV-1a 64 over bytes and little-endian `u64`s: store keys and fault
+/// decisions.
 pub(crate) struct Fnv(pub(crate) u64);
 
 impl Fnv {
@@ -276,16 +276,15 @@ fn analysis_code(mode: AnalysisMode) -> u64 {
 /// Fingerprint of everything that determines a benchmark's
 /// characterization — format version, the MICA
 /// [`FEATURE_REVISION`], workload scale, interval length,
-/// per-run instruction cap, and the watchdog budget — plus the run
-/// *protocol*: the analysis mode and the shard topology.
+/// per-run instruction cap, and the watchdog budget — plus the
+/// analysis mode.
 ///
-/// The protocol fields don't change what a benchmark computes, but they
-/// change what a checkpoint is *for*: a streaming reducer consumes the
-/// store as its only source of feature rows, so it must never pick up
-/// outcomes written by an in-RAM run or by workers of a different shard
-/// topology, where coverage assumptions differ. Folding
-/// `analysis`/`shard_total` into the fingerprint makes such mixtures
-/// structurally impossible — a mismatched store just looks empty.
+/// The mode doesn't change what a benchmark computes, but it changes
+/// what a checkpoint is *for*: a streaming run consumes the store as its
+/// only source of feature rows, so it never picks up outcomes written by
+/// an in-RAM run — a mismatched store just looks empty. A constant `1`
+/// follows the mode where the retired shard count (always 1 for a
+/// single-process study) was hashed, so existing stores keep their keys.
 ///
 /// Deliberately excludes sampling, clustering, and GA settings — two
 /// studies differing only in those share characterizations. The
@@ -303,8 +302,7 @@ pub fn characterization_fingerprint(cfg: &StudyConfig) -> u64 {
         None => h.u64(0),
         Some(b) => h.u64(1).u64(b),
     };
-    h.u64(analysis_code(cfg.analysis))
-        .u64(cfg.shard_total as u64);
+    h.u64(analysis_code(cfg.analysis)).u64(1);
     h.0
 }
 

@@ -28,7 +28,7 @@ pub enum SamplingPolicy {
 /// **bit-identical** results; only memory behavior differs. Because a
 /// checkpoint written by one mode carries the features the other would
 /// drop (or vice versa), the mode **is** part of the characterization
-/// fingerprint — a reducer can never mix outcomes across modes.
+/// fingerprint — a streaming run can never mix outcomes across modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalysisMode {
     /// Keep the raw feature row of each distinct sampled interval in RAM
@@ -146,18 +146,12 @@ pub struct StudyConfig {
     /// Analysis memory mode (default: in-RAM). Results are bit-identical
     /// for both modes; see [`AnalysisMode`].
     pub analysis: AnalysisMode,
-    /// Total number of shard workers this study's checkpoint store is
-    /// divided across (default: 1, an unsharded study). Part of the
-    /// checkpoint fingerprint so a reducer only ever consumes outcomes
-    /// produced under the same topology.
-    pub shard_total: u32,
     /// Run the abstract-interpretation pre-flight
     /// (`Program::analyze`) over every benchmark before executing it
     /// (default: on). The pre-flight records a `static_analysis`
     /// manifest section, derives a default watchdog budget from the
     /// static instruction maxima when `max_inst_per_bench` is absent,
-    /// lets the block compiler skip statically dead code, and orders
-    /// shard work longest-first. The static bounds are sound, so study
+    /// and lets the block compiler skip statically dead code. The static bounds are sound, so study
     /// results are **bit-identical** with the pre-flight on or off;
     /// like [`Engine`], the flag is therefore not part of the
     /// checkpoint fingerprint.
@@ -189,7 +183,6 @@ impl StudyConfig {
             threads: 0,
             seed: 0,
             analysis: AnalysisMode::InRam,
-            shard_total: 1,
             static_analysis: true,
         }
     }
@@ -216,7 +209,6 @@ impl StudyConfig {
             threads: 0,
             seed: 0,
             analysis: AnalysisMode::InRam,
-            shard_total: 1,
             static_analysis: true,
         }
     }
@@ -260,9 +252,6 @@ impl StudyConfig {
         }
         if self.max_inst_per_bench == Some(0) {
             return Err(ConfigError::ZeroBenchBudget);
-        }
-        if self.shard_total == 0 {
-            return Err(ConfigError::ZeroShards);
         }
         self.ga.validate()?;
         Ok(())
@@ -340,10 +329,6 @@ mod tests {
         let mut cfg = StudyConfig::smoke();
         cfg.max_inst_per_bench = Some(1);
         assert_eq!(cfg.validate(), Ok(()));
-
-        let mut cfg = StudyConfig::smoke();
-        cfg.shard_total = 0;
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroShards));
 
         let mut cfg = StudyConfig::smoke();
         cfg.ga.populations = 0;

@@ -52,17 +52,8 @@ pub enum ConfigError {
     /// `max_inst_per_bench` is `Some(0)`: a zero-instruction watchdog
     /// budget would quarantine every benchmark.
     ZeroBenchBudget,
-    /// `shard_total` is zero — a study must have at least one shard.
-    ZeroShards,
-    /// A shard index at or beyond `shard_total`.
-    ShardIndex {
-        /// The out-of-range worker index.
-        index: u32,
-        /// The configured shard count.
-        total: u32,
-    },
-    /// Streaming analysis (or a shard/reduce run) was requested without
-    /// a checkpoint store to stream from.
+    /// Streaming analysis was requested without a checkpoint store to
+    /// stream from.
     StreamingNeedsStore,
     /// The genetic-algorithm sub-configuration is invalid.
     Ga(GaConfigError),
@@ -91,10 +82,6 @@ impl fmt::Display for ConfigError {
             ConfigError::EmptySuiteFilter => write!(f, "empty suite filter"),
             ConfigError::ZeroBenchBudget => {
                 write!(f, "per-benchmark instruction budget must be positive")
-            }
-            ConfigError::ZeroShards => write!(f, "shard count must be positive"),
-            ConfigError::ShardIndex { index, total } => {
-                write!(f, "shard index {index} out of range for {total} shard(s)")
             }
             ConfigError::StreamingNeedsStore => {
                 write!(f, "streaming analysis requires a checkpoint store")
@@ -269,25 +256,6 @@ pub enum StudyError {
     /// finish. Checkpointed progress, if a store was attached, survives
     /// for a later resume.
     Cancelled,
-    /// A shard worker could not acquire (or lost) its store lease —
-    /// another live worker holds the same shard slot.
-    ShardLease {
-        /// The contended shard index.
-        shard: u32,
-        /// One-line description of the lease failure.
-        detail: String,
-    },
-    /// A supervised shard kept failing after every restart and could
-    /// not be salvaged in-process: the study has no complete data for
-    /// it, so no report is produced.
-    UnrecoverableShard {
-        /// The shard that never completed.
-        shard: u32,
-        /// How many worker attempts (initial + restarts) were made.
-        attempts: u32,
-        /// One-line description of the last failure observed.
-        last: String,
-    },
 }
 
 impl fmt::Display for StudyError {
@@ -306,17 +274,6 @@ impl fmt::Display for StudyError {
             }
             StudyError::Analysis(e) => write!(f, "analysis failed: {e}"),
             StudyError::Cancelled => write!(f, "study cancelled before completion"),
-            StudyError::ShardLease { shard, detail } => {
-                write!(f, "shard {shard} lease unavailable: {detail}")
-            }
-            StudyError::UnrecoverableShard {
-                shard,
-                attempts,
-                last,
-            } => write!(
-                f,
-                "shard {shard} unrecoverable after {attempts} attempt(s) (last failure: {last})"
-            ),
         }
     }
 }
@@ -329,9 +286,7 @@ impl Error for StudyError {
                 quarantined.first().map(|q| q as &(dyn Error + 'static))
             }
             StudyError::Analysis(e) => Some(e),
-            StudyError::Cancelled
-            | StudyError::ShardLease { .. }
-            | StudyError::UnrecoverableShard { .. } => None,
+            StudyError::Cancelled => None,
         }
     }
 }
@@ -383,22 +338,9 @@ mod tests {
             .to_string(),
             StudyError::Analysis(AnalysisError::NoIntervalsSampled).to_string(),
             StudyError::Cancelled.to_string(),
-            ConfigError::ZeroShards.to_string(),
-            ConfigError::ShardIndex { index: 3, total: 2 }.to_string(),
             ConfigError::StreamingNeedsStore.to_string(),
             AnalysisError::InconsistentCheckpoint {
                 bench: "gcc".into(),
-            }
-            .to_string(),
-            StudyError::ShardLease {
-                shard: 2,
-                detail: "held by pid 4242".into(),
-            }
-            .to_string(),
-            StudyError::UnrecoverableShard {
-                shard: 3,
-                attempts: 6,
-                last: "exit status: 9".into(),
             }
             .to_string(),
         ] {

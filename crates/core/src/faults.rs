@@ -382,8 +382,7 @@ impl Injector {
 ///
 /// [`CheckpointStore::open`](crate::CheckpointStore::open) arms every
 /// store it opens with this plan, so any process that touches a store
-/// (including spawned shard workers) injects faults from its
-/// environment.
+/// injects faults from its environment.
 pub(crate) fn env_plan() -> Option<&'static FaultPlan> {
     static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
     PLAN.get_or_init(|| {

@@ -56,8 +56,6 @@ mod config;
 mod error;
 /// Deterministic fault injection for the checkpoint store's I/O.
 pub mod faults;
-/// Advisory per-shard leases over a shared checkpoint store.
-pub mod lease;
 mod phases;
 mod pipeline;
 mod report;
@@ -83,8 +81,8 @@ pub use config::{AnalysisMode, Engine, SamplingPolicy, StudyConfig};
 pub use error::{AnalysisError, ConfigError, QuarantineCause, QuarantinedBenchmark, StudyError};
 pub use phases::{KiviatAxis, PhaseKind, PhaseShare, ProminentPhase};
 pub use pipeline::{
-    run_shard, run_shard_with, run_study, run_study_resumable, run_study_with,
-    run_study_with_resumable, BenchmarkRun, SampledInterval, ShardSummary, StudyResult,
+    run_study, run_study_resumable, run_study_with, run_study_with_resumable, BenchmarkRun,
+    SampledInterval, StudyResult,
 };
 
 // Cancellation primitives, re-exported so pipeline callers need not

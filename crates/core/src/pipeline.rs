@@ -12,13 +12,6 @@
 //! accumulators and project and rescale each distinct interval once, so
 //! their results are **bit-identical**. The PC scores, the rescaled
 //! space and the k-means input share the one index.
-//!
-//! On top of the streaming mode sits a multi-process protocol:
-//! [`run_shard`] workers characterize disjoint slices of the benchmark
-//! list into one shared [`CheckpointStore`], and a subsequent streaming
-//! [`run_study_resumable`] call (the *reducer*) finds every outcome
-//! already checkpointed and runs the analysis without executing a
-//! single VM instruction.
 
 use std::sync::Arc;
 
@@ -39,7 +32,6 @@ use crate::checkpoint::{
 };
 use crate::config::{AnalysisMode, StudyConfig};
 use crate::error::{AnalysisError, ConfigError, QuarantinedBenchmark, StudyError};
-use crate::lease;
 use crate::phases::{KiviatAxis, PhaseKind, PhaseShare, ProminentPhase};
 use crate::sampling::sample_with_policy;
 
@@ -296,8 +288,7 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyResult, StudyError> {
 /// with a one-line warning and recomputed — they never fail the study.
 ///
 /// With `cfg.analysis` set to [`AnalysisMode::Streaming`], a store is
-/// **required** (it is the row source); this is also how a sharded
-/// study reduces — see [`run_shard`].
+/// **required** (it is the row source).
 ///
 /// With a `cancel` token, tripping the token stops the study at the next
 /// check (between VM slices during characterization, between k-means
@@ -645,181 +636,6 @@ pub fn run_study_with_resumable(
         pca,
         score_norm,
     })
-}
-
-/// Summary of one shard worker's characterization pass (see
-/// [`run_shard`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSummary {
-    /// This worker's index in `0..shard_total`.
-    pub shard_index: u32,
-    /// The topology the worker ran under (`cfg.shard_total`).
-    pub shard_total: u32,
-    /// Benchmarks assigned to this shard.
-    pub assigned: usize,
-    /// Assigned benchmarks that characterized cleanly (checkpointed).
-    pub characterized: usize,
-    /// Assigned benchmarks that were quarantined (also checkpointed, so
-    /// the reducer neither re-runs nor forgets them).
-    pub quarantined: Vec<QuarantinedBenchmark>,
-}
-
-/// Characterizes shard `shard_index` of `cfg.shard_total` over the
-/// (suite-filtered) catalog into `store` — one worker of a sharded
-/// study.
-///
-/// Benchmarks are dealt round-robin by catalog index (`index %
-/// shard_total == shard_index`), so the shards partition the benchmark
-/// list and every worker can be launched with the same configuration.
-/// Workers write under the **streaming** fingerprint regardless of
-/// `cfg.analysis`, because the only consumer of a sharded store is a
-/// streaming reducer: after all workers finish, run
-/// [`run_study_resumable`] with the same `cfg`,
-/// `analysis = `[`AnalysisMode::Streaming`] and the same store, and the
-/// reduce pass finds every outcome checkpointed. The result is
-/// bit-identical to a single-process run.
-///
-/// # Errors
-///
-/// [`StudyError::Config`] for an invalid configuration or a
-/// `shard_index` outside `0..cfg.shard_total`;
-/// [`StudyError::Cancelled`] when `cancel` trips. A quarantined
-/// benchmark is *not* an error — it is checkpointed and reported in the
-/// summary, exactly as a study would record it.
-pub fn run_shard(
-    cfg: &StudyConfig,
-    shard_index: u32,
-    store: &CheckpointStore,
-    cancel: Option<&CancelToken>,
-) -> Result<ShardSummary, StudyError> {
-    cfg.validate()?;
-    let benches: Vec<_> = catalog()
-        .into_iter()
-        .filter(|b| cfg.suites.as_ref().is_none_or(|s| s.contains(&b.suite())))
-        .collect();
-    run_shard_with(cfg, &benches, shard_index, store, cancel)
-}
-
-/// [`run_shard`] over an explicit benchmark list (ignoring
-/// `cfg.suites`) — the list **must** be identical, and identically
-/// ordered, across all workers and the reducer for the round-robin deal
-/// to partition it.
-///
-/// # Errors
-///
-/// As [`run_shard`]; additionally returns
-/// [`AnalysisError::NoBenchmarksSelected`] when `benches` is empty.
-pub fn run_shard_with(
-    cfg: &StudyConfig,
-    benches: &[Benchmark],
-    shard_index: u32,
-    store: &CheckpointStore,
-    cancel: Option<&CancelToken>,
-) -> Result<ShardSummary, StudyError> {
-    cfg.validate()?;
-    if shard_index >= cfg.shard_total {
-        return Err(ConfigError::ShardIndex {
-            index: shard_index,
-            total: cfg.shard_total,
-        }
-        .into());
-    }
-    if benches.is_empty() {
-        return Err(AnalysisError::NoBenchmarksSelected.into());
-    }
-    // Workers always checkpoint under the streaming fingerprint — that
-    // is the protocol the reducer consumes.
-    let mut cfg = cfg.clone();
-    cfg.analysis = AnalysisMode::Streaming;
-
-    let own_token;
-    let token = if let Some(t) = cancel {
-        t
-    } else {
-        own_token = CancelToken::new();
-        &own_token
-    };
-
-    let _span = phaselab_obs::span!("shard");
-    phaselab_obs::set_stage("characterize");
-    let mine: Vec<&Benchmark> = benches
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| (i % cfg.shard_total as usize) as u32 == shard_index)
-        .map(|(_, b)| b)
-        .collect();
-    if phaselab_obs::enabled() {
-        use phaselab_obs::Class::Structural;
-        phaselab_obs::counter_add("shard.benchmarks.assigned", Structural, mine.len() as u64);
-        phaselab_obs::gauge_set("shard.index", Structural, shard_index as f64);
-        phaselab_obs::gauge_set("shard.total", Structural, cfg.shard_total as f64);
-    }
-    let mut summary = ShardSummary {
-        shard_index,
-        shard_total: cfg.shard_total,
-        assigned: mine.len(),
-        characterized: 0,
-        quarantined: Vec::new(),
-    };
-    // Claim this shard's slot before touching the store: at most one
-    // live worker writes per slot, a crashed predecessor's stale lease
-    // is fenced over, and a displacement (another worker taking the
-    // slot) trips `token` so this worker stops cleanly.
-    let ttl = lease::default_ttl();
-    let shard_lease =
-        lease::acquire(store.dir(), shard_index, ttl, ttl, Some(token)).map_err(|e| match e {
-            lease::LeaseError::Cancelled => StudyError::Cancelled,
-            other => StudyError::ShardLease {
-                shard: shard_index,
-                detail: other.to_string(),
-            },
-        })?;
-    // An empty deal (more shards than benchmarks) is a valid no-op.
-    if !mine.is_empty() {
-        // Longest-first by static budget: the heavy benchmarks start
-        // first, so under a supervisor stragglers surface (and can be
-        // reaped) as early as possible. Unbounded (⊤) benchmarks sort
-        // heaviest; ties keep deal order. Every outcome is checkpointed
-        // by name and the summary is restored to deal order below, so
-        // ordering never changes results.
-        let order: Vec<usize> = if cfg.static_analysis {
-            let mut keyed: Vec<(usize, u64)> = mine
-                .iter()
-                .enumerate()
-                .map(|(i, b)| {
-                    let key = analyze_benchmark(b, cfg.scale)
-                        .ok()
-                        .and_then(|s| s.total_inst_max())
-                        .unwrap_or(u64::MAX);
-                    (i, key)
-                })
-                .collect();
-            keyed.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            keyed.into_iter().map(|(i, _)| i).collect()
-        } else {
-            (0..mine.len()).collect()
-        };
-        let sorted: Vec<&Benchmark> = order.iter().map(|&i| mine[i]).collect();
-        let metas_sorted = characterize_map(&sorted, &cfg, Some(store), token, meta_of)?;
-        let mut metas: Vec<Option<BenchMeta>> = (0..mine.len()).map(|_| None).collect();
-        for (k, meta) in metas_sorted.into_iter().enumerate() {
-            metas[order[k]] = Some(meta);
-        }
-        for meta in metas.into_iter().flatten() {
-            match meta {
-                BenchMeta::Characterized { .. } => summary.characterized += 1,
-                BenchMeta::Quarantined(q) => summary.quarantined.push(q),
-            }
-        }
-    }
-    // A displaced worker must not report success even if it finished:
-    // the new owner of the slot is the authoritative writer now.
-    if shard_lease.is_displaced() {
-        return Err(StudyError::Cancelled);
-    }
-    shard_lease.release();
-    phaselab_obs::set_stage("done");
-    Ok(summary)
 }
 
 /// Metadata-only projection of a benchmark outcome: everything the
@@ -1217,7 +1033,7 @@ fn outcome_matches(outcome: &BenchOutcome, bench: &Benchmark) -> bool {
 /// [`kmeans`](phaselab_stats::kmeans) — same seeds, same outer/inner
 /// thread split, same highest-BIC/earliest-restart selection — except
 /// each restart is reloaded from the store when present and persisted
-/// when computed.
+/// when computed, and the rows are grouped only if some restart runs.
 fn cluster_resumable(
     space: &IndexedRows,
     kcfg: &KmeansConfig,
@@ -1229,28 +1045,41 @@ fn cluster_resumable(
     let outer = threads.min(restarts);
     let inner = (threads / outer).max(1);
     let fingerprint = store.map(|_| clustering_fingerprint(kcfg, space));
-    // Grouped by bits once for every restart, as `kmeans` does.
-    let points = space.by_bits();
-    let indices: Vec<usize> = (0..restarts).collect();
-    let candidates = parallel_map_cancellable(&indices, outer, token, |&r| {
-        use phaselab_obs::Class::Timing;
-        if let (Some(s), Some(fp)) = (store, fingerprint) {
-            if let Some(c) = s.load_clustering(fp, r) {
-                if c.assignments.len() == space.rows() && c.centroids.rows() == kcfg.k {
-                    phaselab_obs::counter_add("checkpoint.clustering.hits", Timing, 1);
-                    return c;
-                }
+    let mut candidates: Vec<Option<Clustering>> = (0..restarts)
+        .map(|r| {
+            use phaselab_obs::Class::Timing;
+            let (s, fp) = (store?, fingerprint?);
+            let c = s
+                .load_clustering(fp, r)
+                .filter(|c| c.assignments.len() == space.rows() && c.centroids.rows() == kcfg.k);
+            let counter = if c.is_some() {
+                "checkpoint.clustering.hits"
+            } else {
+                "checkpoint.clustering.misses"
+            };
+            phaselab_obs::counter_add(counter, Timing, 1);
+            c
+        })
+        .collect();
+    let missing: Vec<usize> = (0..restarts).filter(|&r| candidates[r].is_none()).collect();
+    if !missing.is_empty() {
+        // Grouped by bits once for every restart that runs, as `kmeans`
+        // does, and on this thread, before the restarts fork.
+        let points = space.by_bits();
+        let computed = parallel_map_cancellable(&missing, outer, token, |&r| {
+            let c = kmeans_restart(&points, kcfg, r, inner);
+            if let (Some(s), Some(fp)) = (store, fingerprint) {
+                s.store_clustering(fp, r, &c);
             }
-            phaselab_obs::counter_add("checkpoint.clustering.misses", Timing, 1);
+            c
+        })
+        .map_err(|_| StudyError::Cancelled)?;
+        for (r, c) in missing.into_iter().zip(computed) {
+            candidates[r] = Some(c);
         }
-        let c = kmeans_restart(&points, kcfg, r, inner);
-        if let (Some(s), Some(fp)) = (store, fingerprint) {
-            s.store_clustering(fp, r, &c);
-        }
-        c
-    })
-    .map_err(|_| StudyError::Cancelled)?;
-    Ok(pick_best_clustering(candidates).expect("at least one restart ran"))
+    }
+    let best = pick_best_clustering(candidates.into_iter().flatten().collect());
+    Ok(best.expect("at least one restart ran"))
 }
 
 /// Ranks clusters by weight, keeps the top `n_prominent`, and describes
@@ -1584,20 +1413,5 @@ mod tests {
             run_study(&cfg),
             Err(StudyError::Config(ConfigError::StreamingNeedsStore))
         ));
-    }
-
-    #[test]
-    fn shard_index_must_be_in_range() {
-        let dir =
-            std::env::temp_dir().join(format!("phaselab-ckpt-shardrange-{}", std::process::id()));
-        let store = CheckpointStore::open(&dir).expect("store");
-        let mut cfg = StudyConfig::smoke();
-        cfg.shard_total = 2;
-        let err = run_shard(&cfg, 2, &store, None).unwrap_err();
-        assert!(matches!(
-            err,
-            StudyError::Config(ConfigError::ShardIndex { index: 2, total: 2 })
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

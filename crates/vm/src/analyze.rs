@@ -16,9 +16,8 @@
 //!   union over-approximates every address the program can touch.
 //!
 //! The consumers are downstream: the watchdog derives default budgets
-//! from `inst_max`, the supervisor orders shard work longest-first by
-//! it, the block compiler prunes folded-dead blocks, and `repro lint`
-//! renders the [`Lint`] diagnostics.
+//! from `inst_max`, the block compiler prunes folded-dead blocks, and
+//! `repro lint` renders the [`Lint`] diagnostics.
 //!
 //! # Soundness contract
 //!

@@ -1,19 +1,21 @@
 #!/usr/bin/env sh
-# Chaos smoke test for the supervised sharded protocol: a fault-free
-# single-process run is the baseline; then `repro --supervise 4` runs
-# the same study with deterministic fault injection armed in every
-# worker (crashes, torn writes, EINTR, stalled writes) while this
-# script kills random workers with SIGKILL mid-study. The supervisor
-# must restart the casualties (salvaging any shard that exhausts its
-# restart budget) and the final report must be byte-identical to the
-# clean baseline. Injected crash faults and kill -9s both count as
-# worker deaths; the manifest's `supervisor.restarts` counter proves at
-# least two happened.
+# Chaos smoke test for the checkpoint store and resume path. A
+# fault-free run with no store is the baseline; every run below must
+# print the same report and write the same CSV artifacts, byte for byte.
+#
+#   (a) Store faults: two runs over one store with torn writes, EINTR,
+#       stalled writes, ENOSPC and short reads injected. The first fills
+#       the store, the second reads it back. Each manifest must validate
+#       and record at least one injected fault.
+#   (b) Injected crash: `crash=1,max=1` aborts the process at its first
+#       store write. A clean `--resume` over the same store must finish.
+#   (c) External kill: a run is killed with SIGKILL once its first
+#       checkpoint lands. A clean `--resume` over the same store must
+#       finish and reload that checkpoint.
 set -eu
 
 REPRO="${REPRO:-target/release/repro}"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/phaselab-chaos-smoke.XXXXXX")"
-CKPT="$WORK/ckpt"
 trap 'rm -rf "$WORK"' EXIT
 
 if [ ! -x "$REPRO" ]; then
@@ -24,79 +26,88 @@ fi
 # Sub-scale study: 3 benchmarks, small k — seconds, not minutes.
 ARGS="--scale tiny --interval 20000 --samples 8 --k 12 --seed 0 --only face,finger,jpeg"
 
-# The worker fault plan: frequent crashes and stalled writes (the
-# stalls widen the window for the SIGKILL loop below), plus torn
-# writes and EINTR storms on the store I/O. The parent process stays
-# fault-free — `PHASELAB_FAULTS_WORKER` is forwarded to children only —
-# so the salvage and reduce passes are clean.
-FAULTS="seed=7,crash=0.25,torn=0.15,eintr=0.1,stall=0.4,stall_ms=40"
-
-echo "chaos_smoke: fault-free single-process baseline"
-PHASELAB_OUT="$WORK/out-single" $REPRO $ARGS table3 > "$WORK/single.txt"
-
-echo "chaos_smoke: supervised run with faults armed and a SIGKILL loop"
-killer() {
-    # Kill -9 any live `--shard` worker (never the parent: its argv
-    # says `--supervise`). Runs until the supervised run finishes.
-    kills=0
-    while [ ! -f "$WORK/done" ]; do
-        for pid in $(pgrep -f -- "repro .*--shard" 2>/dev/null || true); do
-            if kill -9 "$pid" 2>/dev/null; then
-                kills=$((kills + 1))
-            fi
-        done
-        sleep 0.1
-    done
-    echo "$kills" > "$WORK/kills"
-}
-killer &
-KILLER_PID=$!
-
-# A short lease TTL keeps the test snappy: hung-worker detection and
-# stale-lease takeover both key off it (a SIGKILL'd holder is detected
-# immediately via /proc, the TTL only backstops that).
-set +e
-PHASELAB_OUT="$WORK/out-chaos" PHASELAB_FAULTS_WORKER="$FAULTS" \
-    PHASELAB_SUPERVISE_MAX_RESTARTS=4 PHASELAB_LEASE_TTL_MS=2000 \
-    $REPRO $ARGS --supervise 4 --checkpoint-dir "$CKPT" \
-    --metrics-out "$WORK/chaos.json" table3 > "$WORK/chaos.txt"
-STATUS=$?
-set -e
-: > "$WORK/done"
-wait "$KILLER_PID"
-KILLS="$(cat "$WORK/kills" 2>/dev/null || echo 0)"
-echo "chaos_smoke: supervised run exited $STATUS after $KILLS SIGKILL(s)"
-
-if [ "$STATUS" -ne 0 ]; then
-    echo "chaos_smoke: FAIL — supervised run must survive the chaos (exit $STATUS)" >&2
-    exit 1
-fi
-
-# The chaos report must be byte-identical to the clean baseline except
-# the artifact-path lines (different PHASELAB_OUT dirs) — and the CSV
-# artifacts themselves must be byte-identical too.
-grep -v '^wrote ' "$WORK/single.txt" > "$WORK/single.flt"
-grep -v '^wrote ' "$WORK/chaos.txt" > "$WORK/chaos.flt"
-if ! diff "$WORK/single.flt" "$WORK/chaos.flt"; then
-    echo "chaos_smoke: FAIL — chaos report differs from the fault-free report" >&2
-    exit 1
-fi
-for csv in "$WORK"/out-single/*.csv; do
-    name="$(basename "$csv")"
-    if ! diff "$csv" "$WORK/out-chaos/$name"; then
-        echo "chaos_smoke: FAIL — artifact $name differs between the runs" >&2
+# same_as_baseline NAME: NAME.txt and out-NAME/ must match the baseline
+# except for the artifact-path lines (each run has its own PHASELAB_OUT).
+same_as_baseline() {
+    grep -v '^wrote ' "$WORK/$1.txt" > "$WORK/$1.flt"
+    if ! diff "$WORK/baseline.flt" "$WORK/$1.flt"; then
+        echo "chaos_smoke: FAIL — $1 report differs from the fault-free report" >&2
         exit 1
     fi
-done
-echo "chaos_smoke: reports and artifacts are byte-identical"
+    for csv in "$WORK"/out-baseline/*.csv; do
+        name="$(basename "$csv")"
+        if ! diff "$csv" "$WORK/out-$1/$name"; then
+            echo "chaos_smoke: FAIL — $1 artifact $name differs from the baseline" >&2
+            exit 1
+        fi
+    done
+    echo "chaos_smoke: $1 report and artifacts are byte-identical"
+}
 
-# At least two workers must have died mid-study (injected crashes and
-# SIGKILLs both count — each costs the supervisor one restart), and the
-# manifest must validate with the chaos counters in the Timing section.
-if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/check_manifest.py "$WORK/chaos.json" \
-        --require-counter supervisor.restarts:2
-else
-    echo "chaos_smoke: python3 unavailable, skipping manifest validation"
+# check_faults NAME: the manifest validates (fault counters only under
+# `timings`) and records at least one injected fault.
+check_faults() {
+    if command -v python3 >/dev/null 2>&1; then
+        python3 scripts/check_manifest.py "$WORK/$1.json" \
+            --require-counter faults.injected:1
+    else
+        echo "chaos_smoke: python3 unavailable, skipping manifest validation"
+    fi
+}
+
+echo "chaos_smoke: fault-free baseline"
+PHASELAB_OUT="$WORK/out-baseline" $REPRO $ARGS table3 > "$WORK/baseline.txt"
+grep -v '^wrote ' "$WORK/baseline.txt" > "$WORK/baseline.flt"
+
+echo "chaos_smoke: (a) store faults, fill then re-read"
+FAULTS="seed=7,torn=0.3,eintr=0.3,stall=0.3,stall_ms=5,enospc=0.2,shortread=0.3"
+for run in fill reread; do
+    PHASELAB_OUT="$WORK/out-$run" PHASELAB_FAULTS="$FAULTS" \
+        $REPRO $ARGS --checkpoint-dir "$WORK/ckpt-a" \
+        --metrics-out "$WORK/$run.json" table3 > "$WORK/$run.txt"
+    same_as_baseline "$run"
+    check_faults "$run"
+done
+
+echo "chaos_smoke: (b) injected crash, then a clean resume"
+set +e
+PHASELAB_OUT="$WORK/out-crash" PHASELAB_FAULTS="seed=7,crash=1,max=1" \
+    $REPRO $ARGS --checkpoint-dir "$WORK/ckpt-b" table3 > /dev/null 2>&1
+STATUS=$?
+set -e
+if [ "$STATUS" -eq 0 ]; then
+    echo "chaos_smoke: FAIL — the crash=1 run must abort, it exited 0" >&2
+    exit 1
 fi
+echo "chaos_smoke: crash run aborted (exit $STATUS)"
+PHASELAB_OUT="$WORK/out-crashresume" $REPRO $ARGS --checkpoint-dir "$WORK/ckpt-b" \
+    --resume table3 > "$WORK/crashresume.txt"
+same_as_baseline crashresume
+
+echo "chaos_smoke: (c) kill -9 after the first checkpoint, then a clean resume"
+# Stalled writes hold the run open long enough to be killed mid-study.
+PHASELAB_OUT="$WORK/out-killed" PHASELAB_FAULTS="seed=7,stall=1,stall_ms=300" \
+    $REPRO $ARGS --checkpoint-dir "$WORK/ckpt-c" table3 > /dev/null 2>&1 &
+PID=$!
+i=0
+while [ "$i" -lt 600 ] && ! ls "$WORK"/ckpt-c/c*/*.ckpt >/dev/null 2>&1; do
+    i=$((i + 1))
+    sleep 0.05
+done
+if ! kill -9 "$PID" 2>/dev/null; then
+    echo "chaos_smoke: FAIL — the run finished before it could be killed" >&2
+    exit 1
+fi
+STATUS=0
+wait "$PID" || STATUS=$?
+echo "chaos_smoke: killed run exited $STATUS"
+PHASELAB_OUT="$WORK/out-killresume" $REPRO $ARGS --checkpoint-dir "$WORK/ckpt-c" \
+    --resume --metrics-out "$WORK/killresume.json" table3 > "$WORK/killresume.txt"
+same_as_baseline killresume
+# The resume reloaded what the killed run had finished.
+if command -v python3 >/dev/null 2>&1; then
+    python3 scripts/check_manifest.py "$WORK/killresume.json" \
+        --require-counter checkpoint.bench.hits:1
+fi
+
 echo "chaos_smoke: OK"

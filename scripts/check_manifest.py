@@ -81,14 +81,11 @@ SEVERITIES = ("deny", "warn", "info")
 SOURCES = ("verify", "lint")
 
 # Counters that are Timing-class by contract: they record operational
-# luck (fault injection, lease takeovers, worker restarts, read
-# retries, cache traffic), not study structure, so they may only ever
-# appear under `timings.counters`. One of them leaking into the
-# structural `counters` section would break the byte-identity of chaos
-# runs.
+# luck (fault injection, read retries, cache traffic), not study
+# structure, so they may only ever appear under `timings.counters`. One
+# of them leaking into the structural `counters` section would break the
+# byte-identity of chaos runs.
 TIMING_ONLY_COUNTER_PREFIXES = (
-    "supervisor.restarts",
-    "store.lease_takeovers",
     "faults.injected",
     "checkpoint.read_retries",
     "checkpoint.invalid",

@@ -68,10 +68,10 @@ pub use phaselab_vm as vm;
 pub use phaselab_workloads as workloads;
 
 pub use phaselab_core::{
-    characterize_benchmark, characterize_program, coverage, diversity, run_shard, run_shard_with,
-    run_study, run_study_resumable, run_study_with, run_study_with_resumable, uniqueness,
-    AnalysisError, AnalysisMode, CancelToken, CheckpointStore, ConfigError, ProminentPhase,
-    QuarantineCause, QuarantinedBenchmark, ShardSummary, StudyConfig, StudyError, StudyResult,
+    characterize_benchmark, characterize_program, coverage, diversity, run_study,
+    run_study_resumable, run_study_with, run_study_with_resumable, uniqueness, AnalysisError,
+    AnalysisMode, CancelToken, CheckpointStore, ConfigError, ProminentPhase, QuarantineCause,
+    QuarantinedBenchmark, StudyConfig, StudyError, StudyResult,
 };
 pub use phaselab_mica::{feature_names, FeatureVector, IntervalCharacterizer, NUM_FEATURES};
 pub use phaselab_trace::{InstClass, InstRecord, TraceSink};

@@ -5,7 +5,7 @@
 //!
 //! The statistics and GA kernels get rewritten for speed, and every
 //! such rewrite must be exact. The relative tests (thread counts,
-//! analysis modes, shard topologies) compare two runs of the *same*
+//! analysis modes, resume) compare two runs of the *same*
 //! kernels, so a change that moves both sides alike passes them. The
 //! digest below was recorded from the straightforward kernels, so a
 //! change that moves a single output bit fails `cargo test`.

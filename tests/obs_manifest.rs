@@ -11,7 +11,7 @@
 
 use std::sync::Mutex;
 
-use phaselab::{run_study, StudyConfig, Suite};
+use phaselab::{run_study, run_study_resumable, CheckpointStore, StudyConfig, Suite};
 use phaselab_obs::{manifest_json, structural_prefix, Json, Registry};
 
 static OBS: Mutex<()> = Mutex::new(());
@@ -115,4 +115,36 @@ fn runaway_quarantine_is_structurally_deterministic() {
             "budget gauges diverged at {threads} threads"
         );
     }
+}
+
+/// The space's rows are grouped for k-means only when a restart misses
+/// the store: a study whose every clustering loads from the store
+/// records one hit per restart and no `kmeans.group` span.
+#[test]
+fn stored_clusterings_skip_the_row_grouping() {
+    let _guard = lock_obs();
+    let dir = std::env::temp_dir().join(format!("phaselab-obs-group-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::open(&dir).expect("store opens");
+    let cfg = smoke_cfg(2);
+    let run = || -> (String, &'static Registry) {
+        let reg = phaselab_obs::install();
+        reg.reset();
+        run_study_resumable(&cfg, Some(&store), None).expect("study runs");
+        (manifest_json(reg, &[], true), reg)
+    };
+    let (filled, reg) = run();
+    assert_eq!(reg.counter_value("checkpoint.clustering.hits"), None);
+    assert!(filled.contains("kmeans.group"), "a cold store groups rows");
+    let (warm, reg) = run();
+    assert_eq!(
+        reg.counter_value("checkpoint.clustering.hits"),
+        Some(cfg.kmeans_restarts as u64)
+    );
+    assert_eq!(reg.counter_value("checkpoint.clustering.misses"), None);
+    assert!(
+        !warm.contains("kmeans.group"),
+        "stored restarts need no grouping"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -238,7 +238,7 @@ fn unarmed_watchdog_never_quarantines_healthy_benchmarks() {
 }
 
 /// The static pre-flight (derived watchdog budgets, dead-code-pruned
-/// block compilation, longest-first shard ordering) must be invisible
+/// block compilation) must be invisible
 /// in results: analyzer on and off produce bit-identical studies, and
 /// a sound derived budget can never quarantine the benchmark it was
 /// derived from.

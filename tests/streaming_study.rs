@@ -1,6 +1,5 @@
-//! Streaming-analysis and sharded-study exactness: the memory-bounded
-//! streaming mode and every shard topology must reproduce the in-RAM
-//! single-process study **bit for bit** — same clustering, same phases,
+//! Streaming-analysis exactness: the memory-bounded streaming mode must
+//! reproduce the in-RAM study **bit for bit** — same clustering, same phases,
 //! same key characteristics, same floating-point scores — at every
 //! thread count. A damaged store may cost recomputation time, never
 //! correctness.
@@ -11,8 +10,7 @@ use std::path::PathBuf;
 
 use phaselab::core::{BenchOutcome, CheckpointStore};
 use phaselab::{
-    run_shard, run_study, run_study_resumable, AnalysisMode, StudyConfig, StudyResult, Suite,
-    NUM_FEATURES,
+    run_study, run_study_resumable, AnalysisMode, StudyConfig, StudyResult, Suite, NUM_FEATURES,
 };
 
 fn temp_store(tag: &str) -> (CheckpointStore, PathBuf) {
@@ -100,64 +98,9 @@ fn streaming_matches_in_ram_bitwise_across_threads() {
     }
 }
 
-/// Sharded workers + a streaming reduce pass reproduce the
-/// single-process result bit for bit, for 2/2 and 4/4 topologies.
-/// Every shard's checkpoints land in one store; the reducer finds all
-/// of them and runs zero characterizations.
-#[test]
-fn sharded_workers_plus_reduce_match_single_process_bitwise() {
-    let baseline = run_study(&base_config()).expect("in-RAM study");
-    for total in [2u32, 4] {
-        let (store, dir) = temp_store(&format!("shard{total}"));
-        let mut cfg = base_config();
-        cfg.shard_total = total;
-        let mut assigned = 0;
-        let mut characterized = 0;
-        for index in 0..total {
-            let summary = run_shard(&cfg, index, &store, None).expect("shard worker");
-            assert_eq!(summary.shard_index, index);
-            assert_eq!(summary.shard_total, total);
-            assert!(summary.quarantined.is_empty());
-            assigned += summary.assigned;
-            characterized += summary.characterized;
-        }
-        assert_eq!(assigned, baseline.benchmarks.len(), "shards partition");
-        assert_eq!(characterized, baseline.benchmarks.len());
-
-        let mut reduce_cfg = base_config();
-        reduce_cfg.shard_total = total;
-        reduce_cfg.analysis = AnalysisMode::Streaming;
-        let reduced = run_study_resumable(&reduce_cfg, Some(&store), None).expect("reduce pass");
-        assert_bit_identical(&baseline, &reduced);
-        let _ = fs::remove_dir_all(&dir);
-    }
-}
-
-/// The shard topology is part of the checkpoint fingerprint: a store
-/// filled under one topology looks empty to another, so a topology
-/// mismatch recomputes rather than silently mixing protocols.
-#[test]
-fn mismatched_shard_topology_does_not_poison_the_reduce() {
-    let (store, dir) = temp_store("topomix");
-    let mut worker_cfg = base_config();
-    worker_cfg.shard_total = 2;
-    for index in 0..2 {
-        run_shard(&worker_cfg, index, &store, None).expect("shard worker");
-    }
-    // Reduce under a *different* topology: nothing matches, everything
-    // recomputes, and the answer is still exactly right.
-    let baseline = run_study(&base_config()).expect("in-RAM study");
-    let mut reduce_cfg = base_config();
-    reduce_cfg.shard_total = 3;
-    reduce_cfg.analysis = AnalysisMode::Streaming;
-    let reduced = run_study_resumable(&reduce_cfg, Some(&store), None).expect("reduce pass");
-    assert_bit_identical(&baseline, &reduced);
-    let _ = fs::remove_dir_all(&dir);
-}
-
 /// A poisoned store — every checkpoint file truncated or bit-flipped
 /// between the fill and the reuse — warns, recomputes, and still
-/// produces the exact single-process answer.
+/// produces the exact answer.
 #[test]
 fn poisoned_store_recomputes_and_never_changes_the_answer() {
     let (store, dir) = temp_store("poison");
