@@ -88,9 +88,23 @@ pub fn analyze_benchmark(
     bench: &Benchmark,
     scale: Scale,
 ) -> Result<BenchStaticReport, QuarantinedBenchmark> {
-    let mut per_input = Vec::with_capacity(bench.num_inputs());
-    for input in 0..bench.num_inputs() {
-        let program = bench.build(scale, input);
+    analyze_programs(bench, &build_inputs(bench, scale))
+}
+
+/// Every input of `bench` built at `scale`, in input order.
+fn build_inputs(bench: &Benchmark, scale: Scale) -> Vec<Program> {
+    (0..bench.num_inputs())
+        .map(|input| bench.build(scale, input))
+        .collect()
+}
+
+/// [`analyze_benchmark`] over `bench`'s already built `programs`.
+fn analyze_programs(
+    bench: &Benchmark,
+    programs: &[Program],
+) -> Result<BenchStaticReport, QuarantinedBenchmark> {
+    let mut per_input = Vec::with_capacity(programs.len());
+    for (input, program) in programs.iter().enumerate() {
         match program.analyze() {
             Ok(report) => per_input.push(report),
             Err(e) => {
@@ -216,11 +230,14 @@ pub fn characterize_benchmark_watched(
             cause,
         })
     };
+    // Every input is built once; the pre-flight and the run share the
+    // programs, and each is dropped once it has run.
+    let programs = build_inputs(bench, cfg.scale);
     // Static pre-flight: analyze every input before running anything.
     // Analysis subsumes verification, so a failure here is the same
     // `StaticallyInvalid` quarantine the verifier would produce.
     let statics = if cfg.static_analysis {
-        match analyze_benchmark(bench, cfg.scale) {
+        match analyze_programs(bench, &programs) {
             Ok(r) => Some(r),
             Err(q) => return Err(BenchFailure::Quarantined(q)),
         }
@@ -251,11 +268,10 @@ pub fn characterize_benchmark_watched(
             reg.counter("vm.slices", Structural),
         )
     });
-    for input in 0..bench.num_inputs() {
+    for (input, program) in programs.into_iter().enumerate() {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(BenchFailure::Cancelled);
         }
-        let program = bench.build(cfg.scale, input);
         // Static pre-flight: reject ill-formed programs before spending
         // a single cycle (or watchdog budget) running them. With the
         // analyzer on, `analyze_benchmark` already ran the verifier.
@@ -397,6 +413,26 @@ mod tests {
                 }),
             )],
         )
+    }
+
+    #[test]
+    fn each_input_is_built_once_with_the_pre_flight_on() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static BUILDS: AtomicUsize = AtomicUsize::new(0);
+        let counted = |_, _| {
+            BUILDS.fetch_add(1, Ordering::SeqCst);
+            catalog()[0].build(Scale::Tiny, 0)
+        };
+        let bench = Benchmark::custom(
+            "counted",
+            phaselab_workloads::Suite::Bmw,
+            vec![("a", Box::new(counted)), ("b", Box::new(counted))],
+        );
+        let cfg = StudyConfig::smoke();
+        assert!(cfg.static_analysis);
+        let c = characterize_benchmark_watched(&bench, &cfg, None).expect("healthy");
+        assert_eq!(c.per_input.len(), 2);
+        assert_eq!(BUILDS.load(Ordering::SeqCst), 2);
     }
 
     #[test]

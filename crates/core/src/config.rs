@@ -31,11 +31,10 @@ pub enum SamplingPolicy {
 /// fingerprint — a streaming run can never mix outcomes across modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalysisMode {
-    /// Keep the raw feature row of each distinct sampled interval in RAM
-    /// (the default), once however often it was drawn, with a `u32` per
-    /// sampled row naming its stored row. Required by the experiments
-    /// that read raw feature rows after the study (kiviat plots,
-    /// per-feature figures) through
+    /// Keep the survivors' characterizations in RAM (the default) and
+    /// read every sampled row's raw features there, in place. Required
+    /// by the experiments that read raw feature rows after the study
+    /// (kiviat plots, per-feature figures) through
     /// [`StudyResult::feature_row`](crate::StudyResult::feature_row).
     #[default]
     InRam,

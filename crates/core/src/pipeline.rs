@@ -1,17 +1,18 @@
 //! Steps 2–5: the study pipeline.
 //!
 //! The analysis stage (normalization → PCA → clustering input) runs in
-//! one of two memory modes (see [`AnalysisMode`]). Every table of the
-//! stage is an [`IndexedRows`]: one row per *distinct* sampled interval
-//! plus an index from every sampled row to its distinct row. A benchmark
-//! with fewer intervals than `samples_per_benchmark` is topped up with
-//! repeat draws, and a repeat costs one `u32`, not a row. The default
-//! in-RAM mode keeps the raw feature rows that way; the streaming mode
-//! replays them out of the checkpoint store and holds none. Both modes
-//! feed every sampled row, in sampled order, through the same one-pass
-//! accumulators and project and rescale each distinct interval once, so
-//! their results are **bit-identical**. The PC scores, the rescaled
-//! space and the k-means input share the one index.
+//! one of two memory modes (see [`AnalysisMode`]), which differ only in
+//! where the raw feature rows come from. The default in-RAM mode keeps
+//! the survivors' characterizations and reads each sampled row in place;
+//! the streaming mode replays the rows out of the checkpoint store and
+//! holds none. Both modes feed every sampled row, in sampled order,
+//! through the same one-pass accumulators and project and rescale each
+//! distinct interval once, so their results are **bit-identical**. The
+//! derived tables are [`IndexedRows`]: one row per *distinct* sampled
+//! interval plus an index from every sampled row to its distinct row. A
+//! benchmark with fewer intervals than `samples_per_benchmark` is topped
+//! up with repeat draws, and a repeat costs one `u32`, not a row. The PC
+//! scores, the rescaled space and the k-means input share the one index.
 
 use std::sync::Arc;
 
@@ -72,13 +73,13 @@ pub struct SampledInterval {
 /// the clustering, the prominent phases and the GA-selected key
 /// characteristics.
 ///
-/// An in-RAM study keeps the raw features of each distinct sampled
-/// interval once; [`feature_row`](Self::feature_row) and
-/// [`feature_rows`](Self::feature_rows) read them by sampled row. A
-/// streaming study keeps none, and those accessors panic. Everything
-/// derived from the rows ([`space`](Self::space), the clustering, the
-/// key characteristics) is present and bit-identical in both modes.
-/// The space, too, holds one row per distinct sampled interval.
+/// An in-RAM study keeps the survivors' characterizations;
+/// [`feature_row`](Self::feature_row) and
+/// [`feature_rows`](Self::feature_rows) read a sampled row's interval
+/// there. A streaming study keeps none, and those accessors panic.
+/// Everything derived from the rows ([`space`](Self::space), the
+/// clustering, the key characteristics) is present and bit-identical in
+/// both modes. The space holds one row per distinct sampled interval.
 #[derive(Debug, Clone)]
 pub struct StudyResult {
     /// The configuration the study ran with.
@@ -92,12 +93,13 @@ pub struct StudyResult {
     pub quarantined: Vec<QuarantinedBenchmark>,
     /// The sampled intervals, one per data-matrix row.
     pub sampled: Vec<SampledInterval>,
-    /// Raw 69-characteristic features of the sampled rows, one stored
-    /// row per distinct interval in first-draw order. `None` in
-    /// streaming mode.
-    features: Option<IndexedRows>,
+    /// The survivors' characterizations, indexed as
+    /// [`benchmarks`](Self::benchmarks): every sampled row's raw
+    /// 69-characteristic features, read in place. `None` in streaming
+    /// mode.
+    characterizations: Option<Vec<BenchCharacterization>>,
     /// The rescaled PCA space of the sampled rows (what the clustering
-    /// ran on), sharing the index of `features`.
+    /// ran on), one stored row per distinct interval in first-draw order.
     space: IndexedRows,
     /// Number of principal components retained.
     pub pcs_retained: usize,
@@ -139,7 +141,7 @@ impl StudyResult {
     /// Panics when the study ran with [`AnalysisMode::Streaming`], which
     /// does not retain raw feature rows, or if `row` is out of range.
     pub fn feature_row(&self, row: usize) -> &[f64] {
-        self.raw().row(row)
+        interval_row(self.raw(), &self.sampled[row])
     }
 
     /// The raw features of the given sampled rows, one matrix row each,
@@ -149,12 +151,16 @@ impl StudyResult {
     ///
     /// As [`feature_row`](Self::feature_row).
     pub fn feature_rows(&self, rows: &[usize]) -> Matrix {
-        self.raw().select_rows(rows)
+        let mut m = Matrix::zeros(rows.len(), NUM_FEATURES);
+        for (i, &row) in rows.iter().enumerate() {
+            m.row_mut(i).copy_from_slice(self.feature_row(row));
+        }
+        m
     }
 
-    fn raw(&self) -> &IndexedRows {
-        self.features
-            .as_ref()
+    fn raw(&self) -> &[BenchCharacterization] {
+        self.characterizations
+            .as_deref()
             .expect("raw feature rows are not retained by streaming analysis")
     }
 
@@ -180,13 +186,15 @@ impl StudyResult {
     /// raw feature rows this reads were deliberately not retained.
     pub fn kiviat_axes(&self, phase: &ProminentPhase) -> Vec<KiviatAxis> {
         let names = feature_names();
-        let features = self.raw();
-        let rep = features.row(phase.representative_row);
+        let chars = self.raw();
+        let rep = self.feature_row(phase.representative_row);
         self.key_characteristics
             .iter()
             .map(|&feat| {
-                let (min, max) = features
-                    .iter_rows()
+                let (min, max) = self
+                    .sampled
+                    .iter()
+                    .map(|s| interval_row(chars, s))
                     .fold((f64::INFINITY, f64::NEG_INFINITY), |(min, max), row| {
                         (min.min(row[feat]), max.max(row[feat]))
                     });
@@ -462,9 +470,9 @@ pub fn run_study_with_resumable(
     if sampled.is_empty() {
         return Err(AnalysisError::NoIntervalsSampled.into());
     }
-    // Every table from here on keeps one row per distinct sampled
-    // interval. The in-RAM mode copies each one's raw row once and lets
-    // the characterizations go; repeat draws share the row.
+    // Every derived table keeps one row per distinct sampled interval;
+    // repeat draws share the row. The raw rows are read where they are:
+    // in the characterizations (in-RAM) or the store (streaming).
     let (row_of, first_draws) = distinct_draws(&sampled);
     if phaselab_obs::enabled() {
         use phaselab_obs::Class::Structural;
@@ -476,17 +484,6 @@ pub fn run_study_with_resumable(
         );
     }
     let index: Arc<[u32]> = row_of.into();
-    let features = (!streaming).then(|| {
-        let mut m = Matrix::zeros(first_draws.len(), NUM_FEATURES);
-        for (d, &r) in first_draws.iter().enumerate() {
-            let s = sampled[r];
-            m.row_mut(d).copy_from_slice(
-                characterizations[s.bench].per_input[s.input][s.interval].as_slice(),
-            );
-        }
-        IndexedRows::new(m, Arc::clone(&index))
-    });
-    drop(characterizations);
 
     // Step 3: normalize -> PCA (retain sd > threshold) -> normalize,
     // as three one-pass sweeps over the sampled rows. Both row sources
@@ -494,8 +491,8 @@ pub fn run_study_with_resumable(
     // which is what makes the two modes bit-identical.
     phaselab_obs::set_stage("analysis");
     let analysis_span = phaselab_obs::span!("analysis");
-    let mut streamed_src = if streaming {
-        Some(StreamedRows::new(
+    let mut src = if streaming {
+        RowSource::Streamed(StreamedRows::new(
             store.expect("checked above"),
             characterization_fingerprint(cfg),
             cfg,
@@ -503,36 +500,10 @@ pub fn run_study_with_resumable(
             &survivor_benches,
         ))
     } else {
-        None
+        RowSource::Held(&characterizations)
     };
     let (feature_norm, pca, pcs_retained, variance_explained, scores) =
-        if let Some(src) = streamed_src.as_mut() {
-            analyze_streamed(
-                &mut |sink| {
-                    for (r, s) in sampled.iter().enumerate() {
-                        let row = src.row(s)?;
-                        sink(r, row);
-                    }
-                    Ok(())
-                },
-                &index,
-                &first_draws,
-                cfg.pca_sd_threshold,
-            )?
-        } else {
-            let features = features.as_ref().expect("in-RAM rows");
-            analyze_streamed(
-                &mut |sink| {
-                    for (r, row) in features.iter_rows().enumerate() {
-                        sink(r, row);
-                    }
-                    Ok(())
-                },
-                &index,
-                &first_draws,
-                cfg.pca_sd_threshold,
-            )?
-        };
+        analyze_rows(&mut src, &sampled, &first_draws, cfg.pca_sd_threshold)?;
     let scores = IndexedRows::new(scores, index);
     let (space, score_norm) = normalize_indexed(&scores);
     drop(scores);
@@ -542,7 +513,7 @@ pub fn run_study_with_resumable(
         phaselab_obs::gauge_set("pca.pcs_retained", Structural, pcs_retained as f64);
         phaselab_obs::gauge_set("pca.variance_explained", Structural, variance_explained);
         // Peak analysis-stage matrix footprint, in f64 cells: the raw
-        // rows of the distinct sampled intervals (in-RAM) or the
+        // rows of every characterized interval (in-RAM) or the
         // covariance accumulator (streaming), plus the retained-component
         // scores and the rescaled space, both one row per distinct
         // interval, which both modes hold while the space is rescaled.
@@ -551,7 +522,11 @@ pub fn run_study_with_resumable(
         let held = if streaming {
             NUM_FEATURES * NUM_FEATURES
         } else {
-            first_draws.len() * NUM_FEATURES
+            benchmarks
+                .iter()
+                .map(BenchmarkRun::total_intervals)
+                .sum::<usize>()
+                * NUM_FEATURES
         };
         phaselab_obs::gauge_set(
             "analysis.matrix_cells_peak",
@@ -582,8 +557,8 @@ pub fn run_study_with_resumable(
 
     // Step 5: GA key-characteristic selection over the prominent phase
     // representatives, in the raw characteristic space. The handful of
-    // representative rows is gathered from whichever source holds them;
-    // both produce the same bits in the same (prominence) order.
+    // representative rows is gathered from the row source, in
+    // prominence order.
     if token.is_cancelled() {
         return Err(StudyError::Cancelled);
     }
@@ -591,18 +566,10 @@ pub fn run_study_with_resumable(
     let ga_span = phaselab_obs::span!("ga");
     let rep_rows: Vec<usize> = prominent.iter().map(|p| p.representative_row).collect();
     let (key_characteristics, ga_fitness) = if rep_rows.len() >= 3 {
-        let rep_matrix = if let Some(src) = streamed_src.as_mut() {
-            let mut rows = Vec::with_capacity(rep_rows.len());
-            for &r in &rep_rows {
-                rows.push(src.row(&sampled[r])?.to_vec());
-            }
-            Matrix::from_rows(&rows)
-        } else {
-            features
-                .as_ref()
-                .expect("in-RAM rows")
-                .select_rows(&rep_rows)
-        };
+        let mut rep_matrix = Matrix::zeros(rep_rows.len(), NUM_FEATURES);
+        for (i, &r) in rep_rows.iter().enumerate() {
+            rep_matrix.row_mut(i).copy_from_slice(src.row(&sampled[r])?);
+        }
         let fitness = DistanceCorrelationFitness::new(&rep_matrix, cfg.pca_sd_threshold);
         let mut ga_cfg = cfg.ga.clone();
         ga_cfg.seed ^= cfg.seed;
@@ -616,6 +583,7 @@ pub fn run_study_with_resumable(
         ((0..cfg.n_key_characteristics).collect(), 0.0)
     };
     drop(ga_span);
+    drop(src);
     phaselab_obs::set_stage("done");
 
     Ok(StudyResult {
@@ -623,7 +591,7 @@ pub fn run_study_with_resumable(
         benchmarks,
         quarantined,
         sampled,
-        features,
+        characterizations: (!streaming).then_some(characterizations),
         space,
         pcs_retained,
         variance_explained,
@@ -680,6 +648,30 @@ fn benchmark_run(
     }
 }
 
+/// The raw feature row of sampled interval `s` in the survivors'
+/// characterizations `chars`.
+fn interval_row<'a>(chars: &'a [BenchCharacterization], s: &SampledInterval) -> &'a [f64] {
+    chars[s.bench].per_input[s.input][s.interval].as_slice()
+}
+
+/// Where the analysis reads the raw feature rows of sampled intervals.
+enum RowSource<'a> {
+    /// The survivors' characterizations, held in RAM.
+    Held(&'a [BenchCharacterization]),
+    /// The checkpoint store, replayed one benchmark at a time.
+    Streamed(StreamedRows<'a>),
+}
+
+impl RowSource<'_> {
+    /// The feature row of one sampled interval.
+    fn row(&mut self, s: &SampledInterval) -> Result<&[f64], StudyError> {
+        match self {
+            RowSource::Held(chars) => Ok(interval_row(chars, s)),
+            RowSource::Streamed(rows) => rows.row(s),
+        }
+    }
+}
+
 /// Numbers the distinct intervals of `sampled` in first-draw order.
 /// Returns each sampled row's distinct interval and each distinct
 /// interval's first sampled row.
@@ -699,56 +691,52 @@ fn distinct_draws(sampled: &[SampledInterval]) -> (Vec<u32>, Vec<usize>) {
     (row_of, first_draws)
 }
 
-/// The shared three-pass streaming analysis: Welford column statistics
-/// over the raw rows, a running covariance over the normalized rows,
-/// and a projection pass building the retained-component scores. The
-/// caller provides `for_each`, a replayable in-order sweep over the
-/// sampled rows; every mode's sweep feeds these identical accumulators,
-/// so every mode's output is bit-identical.
+/// The three-pass analysis: Welford column statistics over the raw
+/// rows, a running covariance over the normalized rows, and a
+/// projection pass building the retained-component scores. Every
+/// pass reads its rows from `src` in sampled order, so both row
+/// sources feed these identical accumulators the identical rows and
+/// both modes' outputs are bit-identical.
 ///
-/// `row_of` and `first_draws` come from [`distinct_draws`]. The
-/// projection pass projects only first draws, into one score row per
-/// distinct interval: a repeat draw is the same projection of the same
-/// row. The scores come back as those distinct rows, to be read through
-/// `row_of`.
+/// `first_draws` comes from [`distinct_draws`]. The projection pass
+/// projects only first draws, into one score row per distinct
+/// interval: a repeat draw is the same projection of the same row. The
+/// scores come back as those distinct rows.
 ///
 /// Holds O(features²) accumulator state plus the `distinct × retained`
 /// score matrix — never `rows × features`.
-fn analyze_streamed<F>(
-    for_each: &mut F,
-    row_of: &[u32],
+fn analyze_rows(
+    src: &mut RowSource,
+    sampled: &[SampledInterval],
     first_draws: &[usize],
     sd_threshold: f64,
-) -> Result<(ColumnStats, Pca, usize, f64, Matrix), StudyError>
-where
-    F: FnMut(&mut dyn FnMut(usize, &[f64])) -> Result<(), StudyError>,
-{
+) -> Result<(ColumnStats, Pca, usize, f64, Matrix), StudyError> {
     // Pass 1: raw per-column statistics (the first normalization).
     let mut stats = RunningColumnStats::new(NUM_FEATURES);
-    for_each(&mut |_, row| stats.push(row))?;
+    for s in sampled {
+        stats.push(src.row(s)?);
+    }
     let feature_norm = stats.finalize();
 
     // Pass 2: covariance of the normalized rows, one row at a time.
     let mut cov = RunningCovariance::new(NUM_FEATURES);
     let mut scratch = vec![0.0f64; NUM_FEATURES];
-    for_each(&mut |_, row| {
-        feature_norm.apply_row(row, &mut scratch);
+    for s in sampled {
+        feature_norm.apply_row(src.row(s)?, &mut scratch);
         cov.push(&scratch);
-    })?;
+    }
     let pca = Pca::from_covariance(cov.means().to_vec(), &cov.covariance());
     let pcs_retained = pca.count_above(sd_threshold).max(1);
     let variance_explained = pca.cumulative_explained(pcs_retained);
 
     // Pass 3: retained-component scores (the clustering's input, after
-    // one more normalization by the caller).
+    // one more normalization by the caller). First draws ascend, so
+    // the rows still come in sampled order.
     let mut scores = Matrix::zeros(first_draws.len(), pcs_retained);
-    for_each(&mut |r, row| {
-        let d = row_of[r] as usize;
-        if first_draws[d] == r {
-            feature_norm.apply_row(row, &mut scratch);
-            pca.transform_row(&scratch, scores.row_mut(d));
-        }
-    })?;
+    for (d, &r) in first_draws.iter().enumerate() {
+        feature_norm.apply_row(src.row(&sampled[r])?, &mut scratch);
+        pca.transform_row(&scratch, scores.row_mut(d));
+    }
 
     Ok((feature_norm, pca, pcs_retained, variance_explained, scores))
 }
@@ -1224,11 +1212,19 @@ mod tests {
         assert_eq!(r.benchmarks.len(), 12); // 5 BMW + 7 MediaBench II
         assert!(r.quarantined.is_empty(), "bundled workloads never fault");
         assert_eq!(r.sampled.len(), 12 * r.config.samples_per_benchmark);
-        let features = r.features.as_ref().expect("in-RAM rows");
-        assert_eq!(features.rows(), r.sampled.len());
-        assert!(features.distinct().rows() <= r.sampled.len());
-        assert_eq!(features.cols(), NUM_FEATURES);
-        assert_eq!(r.space.index(), features.index());
+        let chars = r.characterizations.as_ref().expect("in-RAM rows");
+        assert_eq!(chars.len(), r.benchmarks.len());
+        for (c, b) in chars.iter().zip(&r.benchmarks) {
+            let intervals: Vec<usize> = c.per_input.iter().map(Vec::len).collect();
+            assert_eq!(intervals, b.intervals_per_input);
+        }
+        for (row, s) in r.sampled.iter().enumerate() {
+            let want = chars[s.bench].per_input[s.input][s.interval].as_slice();
+            assert_eq!(r.feature_row(row), want, "row {row}");
+        }
+        let distinct: std::collections::HashSet<_> = r.sampled.iter().collect();
+        assert_eq!(r.space.rows(), r.sampled.len());
+        assert_eq!(r.space.distinct().rows(), distinct.len());
         assert!(r.pcs_retained >= 1);
         assert!(r.variance_explained > 0.5);
         assert!(!r.prominent.is_empty());
@@ -1322,7 +1318,7 @@ mod tests {
             );
         }
         assert_eq!(r.sampled.len(), benches.len() * cfg.samples_per_benchmark);
-        let stored = r.features.as_ref().expect("in-RAM rows").distinct().rows();
+        let stored = r.space.distinct().rows();
         assert!(
             stored < r.sampled.len(),
             "{stored} distinct rows for {} sampled",
@@ -1330,15 +1326,37 @@ mod tests {
         );
         let distinct: std::collections::HashSet<_> = r.sampled.iter().collect();
         assert_eq!(stored, distinct.len());
-        assert_eq!(r.space.distinct().rows(), distinct.len());
+        // Repeat draws of one interval read one stored row.
+        let mut stored_row = std::collections::HashMap::new();
+        for (row, s) in r.sampled.iter().enumerate() {
+            let d = r.space.index()[row];
+            assert_eq!(*stored_row.entry(*s).or_insert(d), d, "row {row}");
+        }
+        // Every sampled row reads its interval's characterization row,
+        // bit for bit (`f64` equality would let `-0.0` pass for `0.0`).
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (row, s) in r.sampled.iter().enumerate() {
             let want = chars[s.bench].per_input[s.input][s.interval].as_slice();
-            assert_eq!(r.feature_row(row), want, "row {row}");
+            assert_eq!(bits(r.feature_row(row)), bits(want), "row {row}");
         }
-        let all: Vec<usize> = (0..r.sampled.len()).collect();
-        let gathered = r.feature_rows(&all);
-        for row in all {
-            assert_eq!(gathered.row(row), r.feature_row(row), "row {row}");
+    }
+
+    #[test]
+    fn feature_rows_gather_every_sampled_row_from_the_characterizations() {
+        let r = smoke_result();
+        let chars = r.characterizations.as_ref().expect("in-RAM rows");
+        // Every sampled row, in reverse and with a repeat: the gather
+        // keeps the requested order.
+        let mut rows: Vec<usize> = (0..r.sampled.len()).rev().collect();
+        rows.push(0);
+        let gathered = r.feature_rows(&rows);
+        assert_eq!(gathered.rows(), rows.len());
+        assert_eq!(gathered.cols(), NUM_FEATURES);
+        for (i, &row) in rows.iter().enumerate() {
+            let s = r.sampled[row];
+            let want = chars[s.bench].per_input[s.input][s.interval].as_slice();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(gathered.row(i)), bits(want), "row {row}");
         }
     }
 

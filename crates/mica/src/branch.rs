@@ -33,6 +33,11 @@ const PC_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 /// keeps per-branch cost constant. Collisions are rare at 2^16 entries for
 /// interval-sized working sets, so measured misprediction rates track the
 /// exact predictor closely.
+///
+/// A key's slot is its low 16 bits. The address-free tables only ever
+/// see the 8191 [`GLOBAL_KEYS`], which use 7,700 of those slots; they
+/// number the used slots densely ([`GLOBAL_SLOTS`]) and allocate only
+/// those, with the same tags and the same collisions.
 #[derive(Debug, Clone)]
 pub(crate) struct PpmTable {
     entries: Vec<Entry>,
@@ -48,29 +53,49 @@ struct Entry {
 }
 
 impl PpmTable {
+    /// A table with one entry per 2^16 slot, addressed by key (the
+    /// tests' reference predictor).
+    #[cfg(test)]
     pub(crate) fn new() -> Self {
+        Self::with_slots(1 << TABLE_BITS)
+    }
+
+    /// A table with `slots` entries, addressed by the caller's slot.
+    fn with_slots(slots: usize) -> Self {
         PpmTable {
-            entries: vec![Entry::default(); 1 << TABLE_BITS],
+            entries: vec![Entry::default(); slots],
             gen: 1,
         }
     }
 
     #[inline]
-    pub(crate) fn slot(key: u64) -> usize {
+    pub(crate) const fn slot(key: u64) -> usize {
         (key & ((1 << TABLE_BITS) - 1)) as usize
     }
 
     /// Returns `(taken, not_taken)` counts if the context has been seen.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn lookup(&self, key: u64) -> Option<(u16, u16)> {
-        let e = &self.entries[Self::slot(key)];
-        (e.gen == self.gen && e.tag == key).then_some((e.taken, e.not_taken))
+        self.lookup_at(Context::keyed(key))
+    }
+
+    #[cfg(test)]
+    pub(crate) fn update(&mut self, key: u64, taken: bool) {
+        self.update_at(Context::keyed(key), taken);
+    }
+
+    /// Returns `(taken, not_taken)` counts if the context has been seen
+    /// at its slot in this table.
+    #[inline]
+    fn lookup_at(&self, cx: Context) -> Option<(u16, u16)> {
+        let e = &self.entries[cx.slot];
+        (e.gen == self.gen && e.tag == cx.key).then_some((e.taken, e.not_taken))
     }
 
     #[inline]
-    pub(crate) fn update(&mut self, key: u64, taken: bool) {
-        let gen = self.gen;
-        let e = &mut self.entries[Self::slot(key)];
+    fn update_at(&mut self, cx: Context, taken: bool) {
+        let (key, gen) = (cx.key, self.gen);
+        let e = &mut self.entries[cx.slot];
         if e.gen != gen || e.tag != key {
             *e = Entry {
                 tag: key,
@@ -111,6 +136,24 @@ pub(crate) const fn context_key(len: u32, hist: u64, pc: u64) -> u64 {
     mix64(masked ^ ((len as u64) << 56) ^ pc.wrapping_mul(PC_MUL))
 }
 
+/// A context's key (its tag) and its slot in the table it is fed to.
+#[derive(Debug, Clone, Copy)]
+struct Context {
+    key: u64,
+    slot: usize,
+}
+
+impl Context {
+    /// `key` at its slot in a full 2^16-entry table.
+    #[inline]
+    const fn keyed(key: u64) -> Self {
+        Context {
+            key,
+            slot: PpmTable::slot(key),
+        }
+    }
+}
+
 /// Keys of every address-free context, indexed by
 /// `(1 << len) | masked history`: 8191 values, fixed at compile time.
 static GLOBAL_KEYS: [u64; 2 << MAX_HIST] = {
@@ -124,17 +167,50 @@ static GLOBAL_KEYS: [u64; 2 << MAX_HIST] = {
     keys
 };
 
-/// The context keys of an address-free table for history `hist`.
+/// The compact slot of every address-free context, indexed as
+/// [`GLOBAL_KEYS`], and the number of compact slots: the 2^16 slots the
+/// keys use, numbered in first-use order. Two contexts share a compact
+/// slot exactly when their keys share a 2^16 slot.
+const GLOBAL_SLOTS_AND_COUNT: ([u16; 2 << MAX_HIST], usize) = {
+    let mut compact = [u16::MAX; 1 << TABLE_BITS];
+    let mut slots = [0; 2 << MAX_HIST];
+    let mut used = 0;
+    let mut i = 1;
+    while i < slots.len() {
+        let slot = PpmTable::slot(GLOBAL_KEYS[i]);
+        if compact[slot] == u16::MAX {
+            compact[slot] = used as u16;
+            used += 1;
+        }
+        slots[i] = compact[slot];
+        i += 1;
+    }
+    (slots, used)
+};
+
+/// Compact slot of every address-free context, indexed as [`GLOBAL_KEYS`].
+static GLOBAL_SLOTS: [u16; 2 << MAX_HIST] = GLOBAL_SLOTS_AND_COUNT.0;
+
+/// Entries of an address-free table: 7,700 of the 2^16 slots.
+const GLOBAL_TABLE_SLOTS: usize = GLOBAL_SLOTS_AND_COUNT.1;
+
+/// The contexts of an address-free table for history `hist`.
 #[inline]
-fn global_keys(hist: u64) -> [u64; CONTEXTS] {
-    std::array::from_fn(|len| GLOBAL_KEYS[(1 << len) | (hist as usize & ((1 << len) - 1))])
+fn global_contexts(hist: u64) -> [Context; CONTEXTS] {
+    std::array::from_fn(|len| {
+        let i = (1 << len) | (hist as usize & ((1 << len) - 1));
+        Context {
+            key: GLOBAL_KEYS[i],
+            slot: GLOBAL_SLOTS[i] as usize,
+        }
+    })
 }
 
-/// The context keys of a per-address table for `pc` and `hist`.
+/// The contexts of a per-address table for `pc` and `hist`.
 #[inline]
-fn address_keys(pc: u64, hist: u64) -> [u64; CONTEXTS] {
+fn address_contexts(pc: u64, hist: u64) -> [Context; CONTEXTS] {
     // Inlined, the 13 calls share one `pc * PC_MUL`.
-    std::array::from_fn(|len| context_key(len as u32, hist, pc))
+    std::array::from_fn(|len| Context::keyed(context_key(len as u32, hist, pc)))
 }
 
 /// One of the four predictor organizations: {global, local} history ×
@@ -148,16 +224,17 @@ struct PpmPredictor {
 }
 
 impl PpmPredictor {
-    fn new() -> Self {
+    /// A predictor whose table holds `slots` entries.
+    fn with_slots(slots: usize) -> Self {
         PpmPredictor {
-            table: PpmTable::new(),
+            table: PpmTable::with_slots(slots),
             misses: [0; 3],
         }
     }
 
-    /// `keys[len]` is the key of the branch's context of length `len`.
+    /// `contexts[len]` is the branch's context of length `len`.
     #[inline]
-    fn observe(&mut self, keys: &[u64; CONTEXTS], taken: bool) {
+    fn observe(&mut self, contexts: &[Context; CONTEXTS], taken: bool) {
         // Walk contexts from longest to shortest; the first match at
         // length <= depth is the PPM prediction for that depth. An unseen
         // branch (no context at any length) predicts not-taken. Depths
@@ -168,7 +245,7 @@ impl PpmPredictor {
         let mut open = DEPTHS.len();
         let mut len = MAX_HIST as usize;
         loop {
-            if let Some((t, n)) = self.table.lookup(keys[len]) {
+            if let Some((t, n)) = self.table.lookup_at(contexts[len]) {
                 while open > 0 && DEPTHS[open - 1] >= len {
                     open -= 1;
                     predicted[open] = t >= n;
@@ -188,8 +265,8 @@ impl PpmPredictor {
         }
         // Every lookup precedes every update: two contexts of one branch
         // may share a slot.
-        for &key in keys {
-            self.table.update(key, taken);
+        for &cx in contexts {
+            self.table.update_at(cx, taken);
         }
     }
 
@@ -234,7 +311,13 @@ impl BranchAnalyzer {
             with_history: 0,
             global_hist: 0,
             local_hist: FxHashMap::default(),
-            predictors: std::array::from_fn(|_| PpmPredictor::new()),
+            predictors: [
+                GLOBAL_TABLE_SLOTS,
+                1 << TABLE_BITS,
+                GLOBAL_TABLE_SLOTS,
+                1 << TABLE_BITS,
+            ]
+            .map(PpmPredictor::with_slots),
         }
     }
 }
@@ -273,10 +356,10 @@ impl BranchAnalyzer {
         self.global_hist = ((global << 1) | bit) & HIST_MASK;
 
         let [gag, gap, pag, pap] = &mut self.predictors;
-        gag.observe(&global_keys(global), taken);
-        gap.observe(&address_keys(pc, global), taken);
-        pag.observe(&global_keys(local), taken);
-        pap.observe(&address_keys(pc, local), taken);
+        gag.observe(&global_contexts(global), taken);
+        gap.observe(&address_contexts(pc, global), taken);
+        pag.observe(&global_contexts(local), taken);
+        pap.observe(&address_contexts(pc, local), taken);
     }
 }
 
@@ -494,10 +577,30 @@ mod tests {
     #[test]
     fn key_table_matches_the_key_function() {
         for hist in [0, 1, 0x555, 0xfff] {
-            let keys = global_keys(hist);
+            let contexts = global_contexts(hist);
             for len in 0..=MAX_HIST {
-                assert_eq!(keys[len as usize], context_key(len, hist, 0));
+                assert_eq!(contexts[len as usize].key, context_key(len, hist, 0));
             }
         }
+    }
+
+    #[test]
+    fn compact_slots_collide_exactly_when_full_slots_do() {
+        // Every address-free key, in both directions: a 2^16 slot maps to
+        // one compact slot and a compact slot to one 2^16 slot, so two
+        // keys share one exactly when they share the other.
+        let mut compact_of = std::collections::HashMap::new();
+        let mut full_of = std::collections::HashMap::new();
+        for i in 1..GLOBAL_KEYS.len() {
+            let full = PpmTable::slot(GLOBAL_KEYS[i]);
+            let compact = GLOBAL_SLOTS[i] as usize;
+            assert!(compact < GLOBAL_TABLE_SLOTS, "context {i}");
+            assert_eq!(*compact_of.entry(full).or_insert(compact), compact, "{i}");
+            assert_eq!(*full_of.entry(compact).or_insert(full), full, "{i}");
+        }
+        assert_eq!(GLOBAL_KEYS.len() - 1, 8191);
+        assert_eq!(compact_of.len(), 7700);
+        assert_eq!(full_of.len(), GLOBAL_TABLE_SLOTS);
+        assert_eq!(GLOBAL_TABLE_SLOTS, 7700);
     }
 }

@@ -677,6 +677,56 @@ fn equivalence_when_contexts_of_one_branch_share_a_slot() {
 }
 
 #[test]
+fn equivalence_when_address_free_contexts_of_two_histories_share_a_slot() {
+    // Two full global histories whose length-12 address-free contexts
+    // share a table slot. A probe under `hist_a` keeps seeing taken; a
+    // spoiler under `hist_a` with bit 11 flipped shares every shorter
+    // context and keeps seeing not-taken; a probe under `hist_b` then
+    // evicts `hist_a`'s length-12 context, so the next `hist_a` probe
+    // must fall back to the spoiled shorter contexts and mispredict.
+    let slot = |hist: u64| PpmTable::slot(context_key(12, hist, 0));
+    let (hist_a, hist_b) = (0..1u64 << 12)
+        .find_map(|a| {
+            ((a + 1)..1 << 12)
+                .find(|&b| slot(a) == slot(b))
+                .map(|b| (a, b))
+        })
+        .expect("two full histories share an address-free slot");
+    assert_ne!(context_key(12, hist_a, 0), context_key(12, hist_b, 0));
+
+    let branch = |pc, taken| {
+        InstRecord::new(pc, InstClass::CondBranch).with_branch(BranchInfo {
+            taken,
+            target: 0,
+            conditional: true,
+        })
+    };
+    // Twelve filler branches set the global history before each branch.
+    let mut records = Vec::new();
+    let mut under = |hist: u64, pc: u64, taken: bool| {
+        for bit in (0..12).rev() {
+            records.push(branch((1 << 20) + 4 * bit, (hist >> bit) & 1 == 1));
+        }
+        records.push(branch(pc, taken));
+    };
+    for round in 0..40u64 {
+        for _ in 0..3 {
+            under(hist_a, 0x40, true);
+        }
+        for _ in 0..5 {
+            under(hist_a ^ 1 << 11, 0x80, false);
+        }
+        under(hist_b, 0xc0, round % 2 == 0);
+        under(hist_a, 0x40, true);
+    }
+    for interval in [13 * 10, 1000, records.len()] {
+        let mut fast = BranchAnalyzer::new();
+        let mut reference = RefBranch::new();
+        assert_stepwise(&mut fast, &mut reference, &records, interval).unwrap();
+    }
+}
+
+#[test]
 fn equivalence_of_ilp_over_the_first_ring_after_a_reset() {
     // Dependent chains and independent bursts in intervals longer than
     // the ring: every window reads both never-written (zero) and live

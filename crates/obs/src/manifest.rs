@@ -97,23 +97,27 @@ pub fn manifest(reg: &Registry, config: &[(String, Json)], include_timings: bool
         }
 
         if include_timings {
-            // `VmHWM` can read lower at the end of a run than when a
-            // stage ended, so the process peak also takes the largest
-            // stage reading: it bounds every `stage_rss_kb` entry.
-            let peak_rss_kb = snap
-                .stage_rss
-                .values()
-                .copied()
-                .fold(crate::registry::peak_rss_kb(), u64::max);
+            // The stage still open gets its reading now, as a stage being
+            // left does. `VmHWM` can read lower at the end of a run than
+            // when a stage ended, so the process peak is the largest
+            // stage reading (or this one, with no stage): it names the
+            // stage the peak happened in.
+            let now = crate::registry::peak_rss_kb();
+            let mut stage_rss = snap.stage_rss.clone();
+            if !snap.stage.is_empty() {
+                let open = stage_rss.entry(snap.stage.clone()).or_default();
+                *open = (*open).max(now);
+            }
+            let peak_rss_kb = stage_rss.values().copied().fold(now, u64::max);
             let mut timings: Vec<(String, Json)> = vec![
                 ("stage".into(), Json::Str(snap.stage.clone())),
                 ("peak_rss_kb".into(), Json::U64(peak_rss_kb)),
                 (
                     "stage_rss_kb".into(),
                     Json::Obj(
-                        snap.stage_rss
-                            .iter()
-                            .map(|(stage, kb)| (stage.clone(), Json::U64(*kb)))
+                        stage_rss
+                            .into_iter()
+                            .map(|(stage, kb)| (stage, Json::U64(kb)))
                             .collect(),
                     ),
                 ),
@@ -230,21 +234,59 @@ mod tests {
         assert!(structural_prefix(&doc).contains("\"suite/bench\": 7"));
     }
 
+    /// The `timings` object of `reg`'s manifest.
+    fn timings(reg: &Registry) -> Vec<(String, Json)> {
+        let Json::Obj(doc) = manifest(reg, &[], true) else {
+            panic!("manifest is an object")
+        };
+        match doc.into_iter().find(|(k, _)| k == "timings") {
+            Some((_, Json::Obj(timings))) => timings,
+            other => panic!("timings object: {other:?}"),
+        }
+    }
+
+    /// `timings.peak_rss_kb` and `timings.stage_rss_kb` of `reg`'s
+    /// manifest.
+    fn rss_readings(reg: &Registry) -> (u64, Vec<(String, u64)>) {
+        let (mut peak, mut stages) = (None, None);
+        for (key, value) in timings(reg) {
+            match (key.as_str(), value) {
+                ("peak_rss_kb", Json::U64(kb)) => peak = Some(kb),
+                ("stage_rss_kb", Json::Obj(entries)) => {
+                    let kb = |v: Json| match v {
+                        Json::U64(kb) => kb,
+                        other => panic!("stage reading {other:?}"),
+                    };
+                    stages = Some(entries.into_iter().map(|(s, v)| (s, kb(v))).collect());
+                }
+                _ => {}
+            }
+        }
+        (peak.expect("peak_rss_kb"), stages.expect("stage_rss_kb"))
+    }
+
+    #[test]
+    fn the_open_stage_is_read_and_the_peak_names_a_stage() {
+        let reg = Registry::new();
+        reg.set_stage("one");
+        reg.set_stage("two");
+        let (peak, stages) = rss_readings(&reg);
+        let names: Vec<&str> = stages.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(names, ["one", "two"], "the open stage has a reading");
+        let largest = stages.iter().map(|&(_, kb)| kb).max();
+        assert_eq!(Some(peak), largest, "the peak is a stage's reading");
+        // A closed stage that read higher than the open one holds the
+        // peak; the open stage keeps the larger of its two readings.
+        reg.set_stage_rss("one", u64::MAX / 4);
+        reg.set_stage_rss("two", u64::MAX / 8);
+        let (peak, stages) = rss_readings(&reg);
+        assert_eq!(peak, u64::MAX / 4);
+        assert_eq!(stages[1], ("two".to_string(), u64::MAX / 8));
+    }
+
     #[test]
     fn peak_rss_bounds_every_stage_reading() {
-        let peak = |reg: &Registry| {
-            let Json::Obj(doc) = manifest(reg, &[], true) else {
-                panic!("manifest is an object")
-            };
-            let Some((_, Json::Obj(timings))) = doc.into_iter().find(|(k, _)| k == "timings")
-            else {
-                panic!("timings object")
-            };
-            match timings.into_iter().find(|(k, _)| k == "peak_rss_kb") {
-                Some((_, Json::U64(kb))) => kb,
-                other => panic!("peak_rss_kb: {other:?}"),
-            }
-        };
+        let peak = |reg: &Registry| rss_readings(reg).0;
         // A stage reading above the final `VmHWM` (as when the kernel's
         // high-water mark reads lower at the end) becomes the peak.
         // Other test threads may raise the final reading meanwhile, so

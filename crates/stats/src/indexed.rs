@@ -151,16 +151,6 @@ impl IndexedRows {
         m
     }
 
-    /// The given rows, one matrix row each, in the given order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or any row is out of bounds.
-    pub fn select_rows(&self, rows: &[usize]) -> Matrix {
-        let distinct: Vec<usize> = rows.iter().map(|&r| self.index[r] as usize).collect();
-        self.distinct.select_rows(&distinct)
-    }
-
     /// Each row's value of a per-distinct-row array, in row order.
     pub(crate) fn per_row<'s, T: Copy>(
         &'s self,
@@ -316,7 +306,6 @@ mod tests {
             assert_eq!(row, expanded.row(r));
             assert_eq!(Rows::row(&rows, r), expanded.row(r));
         }
-        assert_eq!(rows.select_rows(&[3, 0]), expanded.select_rows(&[3, 0]));
         let doubled = rows.with_distinct(Matrix::from_rows(&[vec![2.0], vec![6.0], vec![10.0]]));
         assert_eq!(doubled.index(), rows.index());
         assert_eq!(doubled.row(0), &[10.0]);

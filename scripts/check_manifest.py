@@ -4,8 +4,8 @@
 Checks the schema version, the presence and types of every required
 section, the config keys the determinism contract promises, and basic
 internal consistency (histogram bucket counts sum to the recorded
-count, span timings are non-negative, the process peak RSS is at least
-every stage's RSS reading). With `--emit-bench PATH` it
+count, span timings are non-negative, the process peak RSS is the
+largest stage RSS reading). With `--emit-bench PATH` it
 also distills the headline performance figures into a one-line JSON
 document suitable for CI tracking.
 
@@ -141,14 +141,21 @@ def validate(manifest):
         if not isinstance(timings.get(key), ty):
             fail(f"timings missing or mistyped key `{key}`")
     # The process peak bounds every stage's reading: a stage cannot end
-    # above the high-water mark of the process it ran in.
+    # above the high-water mark of the process it ran in. The stage
+    # still open has a reading too, so when any stage ran the peak is
+    # one of the readings and names the stage it happened in.
     peak = timings["peak_rss_kb"]
-    for stage, kb in timings["stage_rss_kb"].items():
+    stage_rss = timings["stage_rss_kb"]
+    for stage, kb in stage_rss.items():
         if kb > peak:
             fail(
                 f"timings.peak_rss_kb {peak} is below "
                 f"timings.stage_rss_kb.{stage} {kb}"
             )
+    if timings["stage"] and timings["stage"] not in stage_rss:
+        fail(f"open stage `{timings['stage']}` has no timings.stage_rss_kb reading")
+    if stage_rss and peak not in stage_rss.values():
+        fail(f"timings.peak_rss_kb {peak} equals no timings.stage_rss_kb reading")
     for path, span in timings["spans"].items():
         for key in ("calls", "total_ms", "self_ms"):
             if key not in span:

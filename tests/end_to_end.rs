@@ -4,11 +4,13 @@
 use std::collections::{HashMap, HashSet};
 
 use phaselab::core::{coverage, diversity, uniqueness};
-use phaselab::{run_study, StudyConfig, Suite, NUM_FEATURES};
+use phaselab::{catalog, characterize_benchmark, run_study, StudyConfig, Suite, NUM_FEATURES};
+
+const SUITES: [Suite; 3] = [Suite::BioPerf, Suite::Bmw, Suite::MediaBench2];
 
 fn study() -> phaselab::StudyResult {
     let mut cfg = StudyConfig::smoke();
-    cfg.suites = Some(vec![Suite::BioPerf, Suite::Bmw, Suite::MediaBench2]);
+    cfg.suites = Some(SUITES.to_vec());
     run_study(&cfg).expect("valid smoke study")
 }
 
@@ -16,12 +18,22 @@ fn study() -> phaselab::StudyResult {
 fn study_internal_consistency() {
     let r = study();
 
-    // Every sampled row indexes a real characterized interval.
+    // Every sampled row indexes a real characterized interval and
+    // reads that interval's features, bit for bit.
+    let chars: Vec<_> = catalog()
+        .iter()
+        .filter(|b| SUITES.contains(&b.suite()))
+        .map(|b| characterize_benchmark(b, &r.config).expect("healthy"))
+        .collect();
+    assert_eq!(chars.len(), r.benchmarks.len());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for (row, s) in r.sampled.iter().enumerate() {
         assert_eq!(r.feature_row(row).len(), NUM_FEATURES);
         let b = &r.benchmarks[s.bench];
         assert!(s.input < b.intervals_per_input.len());
         assert!(s.interval < b.intervals_per_input[s.input]);
+        let want = chars[s.bench].per_input[s.input][s.interval].as_slice();
+        assert_eq!(bits(r.feature_row(row)), bits(want), "row {row}");
     }
 
     // Clustering covers every row exactly once.
